@@ -214,8 +214,10 @@ def from_matroid(spec):
     names = [_subset_name(sum(1 << x for x in s), spec.ground_size)
              for s in flats]
     lattice = from_covers(len(flats), names, covers)
-    assert lattice.rank is not None
-    assert all(lattice.rank[idx[s]] == rank_of[s] for s in flats)
+    if lattice.rank is None:
+        raise CheckFailed("the lattice of flats is not ranked")
+    if any(lattice.rank[idx[s]] != rank_of[s] for s in flats):
+        raise CheckFailed("lattice rank differs from matroid rank")
     return lattice
 
 

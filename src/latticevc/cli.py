@@ -258,6 +258,16 @@ def _default_jobs():
         return 1
 
 
+def _budget(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="latticevc",
@@ -300,7 +310,7 @@ def _build_parser():
     add_source(p)
     p.add_argument("--strategy", choices=("auto", "brute", "certificate"),
                    default="auto")
-    p.add_argument("--budget", type=int, default=ssp.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=ssp.DEFAULT_BUDGET)
     p.add_argument("--jobs", type=int, default=_default_jobs())
     p.add_argument("--family",
                    help="check the single-family inequality |Str(F)| >= |F| "
@@ -315,7 +325,7 @@ def _build_parser():
 
     p = sub.add_parser("scan", help="RC-vs-SSP scan over all small lattices")
     p.add_argument("--max-n", type=int, default=6)
-    p.add_argument("--budget", type=int, default=ssp.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=ssp.DEFAULT_BUDGET)
     p.add_argument("--jobs", type=int, default=_default_jobs())
     p.add_argument("--format", choices=("text", "tsv"), default="text")
     p.set_defaults(func=_cmd_scan)

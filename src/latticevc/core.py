@@ -134,18 +134,12 @@ def from_covers(n, names, covers):
         parents[c].append(p)
         indeg[p] += 1
 
-    # deterministic topological order (min index first)
-    order = []
-    heap = [i for i in range(n) if indeg[i] == 0]
-    heapq.heapify(heap)
-    indeg_work = list(indeg)
-    while heap:
-        x = heapq.heappop(heap)
-        order.append(x)
+    order = [i for i in range(n) if indeg[i] == 0]
+    for x in order:  # Kahn's algorithm; the list grows while it is walked
         for p in parents[x]:
-            indeg_work[p] -= 1
-            if indeg_work[p] == 0:
-                heapq.heappush(heap, p)
+            indeg[p] -= 1
+            if indeg[p] == 0:
+                order.append(p)
     if len(order) < n:
         raise NotAPoset("cover graph contains a cycle")
 
@@ -153,6 +147,17 @@ def from_covers(n, names, covers):
     for x in reversed(order):
         for p in parents[x]:
             up[x] |= up[p]
+    return _from_up_masks(names, up)
+
+
+def _from_up_masks(names, up):
+    """Trusted constructor from reflexive, transitive up-set masks.
+
+    Derives the down-sets, checks for a unique bottom and for meets (and
+    joins when a top exists), and computes the covers (the transitive
+    reduction), the smallest-index-first linear extension and the rank.
+    """
+    n = len(names)
     down = [0] * n
     for x in range(n):
         for y in _bits(up[x]):
@@ -166,13 +171,26 @@ def from_covers(n, names, covers):
 
     # transitive reduction
     red = []
+    parents = [[] for _ in range(n)]
+    indeg = [0] * n
     for x in range(n):
-        strict = up[x] & ~(1 << x)
-        for y in _bits(strict):
+        for y in _bits(up[x] & ~(1 << x)):
             if up[x] & down[y] & ~(1 << x) & ~(1 << y) == 0:
                 red.append((x, y))
-    red.sort()
+                parents[x].append(y)
+                indeg[y] += 1
     red = tuple(red)
+
+    # deterministic linear extension (min index first)
+    order = []
+    heap = [bottom]
+    while heap:
+        x = heapq.heappop(heap)
+        order.append(x)
+        for p in parents[x]:
+            indeg[p] -= 1
+            if indeg[p] == 0:
+                heapq.heappush(heap, p)
 
     meet = _glb_table(n, down, up, names, dual=False)
 
@@ -182,8 +200,6 @@ def from_covers(n, names, covers):
     if top is not None:
         # guaranteed to exist once every meet does and a top is present
         join = _glb_table(n, up, down, names, dual=True)
-
-    rank = _try_rank(n, red, bottom, order)
 
     return Lattice(
         n=n,
@@ -195,7 +211,7 @@ def from_covers(n, names, covers):
         join=None if join is None else tuple(tuple(row) for row in join),
         bottom=bottom,
         top=top,
-        rank=rank,
+        rank=_try_rank(n, red, bottom, order),
         linext=tuple(order),
     )
 
@@ -261,19 +277,15 @@ def interval(lattice, x, y):
     if not lattice.leq(x, y):
         raise NotComparable(
             f"{lattice.names[x]!r} is not below {lattice.names[y]!r}")
-    carrier = [z for z in range(lattice.n)
-               if lattice.leq(x, z) and lattice.leq(z, y)]
+    carrier = list(_bits(lattice.up[x] & lattice.down[y]))
     pos = {z: i for i, z in enumerate(carrier)}
-    cmask = 0
+    up = []
     for z in carrier:
-        cmask |= 1 << z
-    covs = []
-    for a in carrier:
-        strict = lattice.up[a] & cmask & ~(1 << a)
-        for b in _bits(strict):
-            if lattice.up[a] & lattice.down[b] & cmask & ~(1 << a) & ~(1 << b) == 0:
-                covs.append((pos[a], pos[b]))
-    sub = from_covers(len(carrier), [lattice.names[z] for z in carrier], covs)
+        mask = 0
+        for w in _bits(lattice.up[z] & lattice.down[y]):
+            mask |= 1 << pos[w]
+        up.append(mask)
+    sub = _from_up_masks(tuple(lattice.names[z] for z in carrier), up)
     return sub, tuple(carrier)
 
 

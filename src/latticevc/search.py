@@ -7,20 +7,12 @@ finite meet-semilattice with a top is a lattice, so no separate join check
 is needed; duplicates across labelings are rejected by canonical form.
 """
 
-import multiprocessing
 from dataclasses import dataclass
 
-from .core import _bits, from_covers
+from .core import _bits, _from_up_masks, from_covers
 from .errors import TooLarge
-from .ssp import (
-    CERTIFIED,
-    DEFAULT_BUDGET,
-    VIOLATED,
-    is_rc,
-    is_ssp,
-    non_rc_family,
-)
-from .shattering import shattered_set
+from .ssp import (CERTIFIED, DEFAULT_BUDGET, INCONCLUSIVE, is_rc, is_ssp,
+                  parallel_map)
 
 MAX_ENUM = 8
 
@@ -132,13 +124,11 @@ def is_isomorphic(a, b):
 # ---------------------------------------------------------------------------
 
 def _lattice_from_downs(n, down):
-    covers = []
+    up = [0] * n
     for y in range(n):
-        for x in _bits(down[y] & ~(1 << y)):
-            up_x = sum(1 << z for z in range(n) if (down[z] >> x) & 1)
-            if up_x & down[y] & ~(1 << x) & ~(1 << y) == 0:
-                covers.append((x, y))
-    return from_covers(n, None, covers)
+        for x in _bits(down[y]):
+            up[x] |= 1 << y
+    return _from_up_masks(tuple(str(i) for i in range(n)), up)
 
 
 def enumerate_lattices(n):
@@ -225,52 +215,33 @@ class ScanReport:
 
 def _scan_one(args):
     lattice, budget = args
-    witness = is_rc(lattice)
-    if witness is not None:
-        fam = non_rc_family(lattice, witness)
-        ok = len(shattered_set(lattice, fam)) < len(fam)
-        return ("non-rc", fam if not ok else None)
-    verdict = is_ssp(lattice, "auto", budget)
-    if verdict.outcome == CERTIFIED:
-        return ("rc-ssp", None)
-    if verdict.outcome == VIOLATED:
-        return ("rc-violated", verdict.witness)
-    return ("rc-inconclusive", None)
+    return is_rc(lattice) is None, is_ssp(lattice, "auto", budget)
 
 
 def conjecture_scan(n_max, budget=DEFAULT_BUDGET, jobs=1):
     """One ScanReport per size 1..n_max.
 
-    Non-RC lattices are falsified through the 3-element-interval family;
-    RC lattices run the full SSP decision with strategy "auto".  Any RC
-    lattice with a Violated verdict is recorded verbatim with its witness.
+    Each lattice gets its RC status and an ``is_ssp(..., "auto")`` verdict;
+    a lattice whose RC status and decided verdict disagree is recorded
+    verbatim with its witness.  Reports do not depend on ``jobs``.
     """
     reports = []
     for n in range(1, n_max + 1):
         lattices = list(enumerate_lattices(n))
-        tasks = [(lat, budget) for lat in lattices]
-        if jobs > 1 and len(tasks) > 1:
-            with multiprocessing.Pool(processes=jobs) as pool:
-                outcomes = pool.map(_scan_one, tasks)
-        else:
-            outcomes = [_scan_one(t) for t in tasks]
+        outcomes = parallel_map(_scan_one, [(lat, budget) for lat in lattices],
+                                jobs)
         rc = ssp = inconclusive = agreements = 0
         counterexamples = []
-        for lattice, (kind, fam) in zip(lattices, outcomes):
-            if kind == "non-rc":
-                if fam is None:
-                    agreements += 1
-                else:
-                    counterexamples.append((lattice, fam))
+        for lattice, (is_rc_lattice, verdict) in zip(lattices, outcomes):
+            certified = verdict.outcome == CERTIFIED
+            rc += is_rc_lattice
+            ssp += certified
+            if verdict.outcome == INCONCLUSIVE:
+                inconclusive += 1
+            elif is_rc_lattice == certified:
+                agreements += 1
             else:
-                rc += 1
-                if kind == "rc-ssp":
-                    ssp += 1
-                    agreements += 1
-                elif kind == "rc-violated":
-                    counterexamples.append((lattice, fam))
-                else:
-                    inconclusive += 1
+                counterexamples.append((lattice, verdict.witness))
         reports.append(ScanReport(
             n=n, total_lattices=len(lattices), rc_count=rc, ssp_count=ssp,
             inconclusive=inconclusive, agreements=agreements,

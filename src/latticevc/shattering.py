@@ -11,6 +11,7 @@ from fractions import Fraction
 from . import linalg
 from .core import _bits
 from .errors import (
+    CheckFailed,
     ElementIsShattered,
     EmptyFamily,
     ForbiddenFamily,
@@ -20,27 +21,24 @@ from .errors import (
 from .mobius import mobius_table
 
 
+def realized_meets(lattice, family, y):
+    """Bitmask of the meets z ^ y over the members z of the family."""
+    got = 0
+    row = lattice.meet[y]
+    for z in family:
+        got |= 1 << row[z]
+    return got
+
+
 def shatters(lattice, family, y):
     """True iff every x <= y equals z ^ y for some z in the family."""
-    got = 0
-    meet = lattice.meet
-    for z in family:
-        got |= 1 << meet[z][y]
-    return lattice.down[y] & ~got == 0
+    return lattice.down[y] & ~realized_meets(lattice, family, y) == 0
 
 
 def shattered_set(lattice, family):
     """Str(F): all shattered elements.  Always downward-closed."""
     fam = tuple(family)
-    meet = lattice.meet
-    out = []
-    for y in range(lattice.n):
-        got = 0
-        for z in fam:
-            got |= 1 << meet[z][y]
-        if lattice.down[y] & ~got == 0:
-            out.append(y)
-    return frozenset(out)
+    return frozenset(y for y in range(lattice.n) if shatters(lattice, fam, y))
 
 
 def vc_dim(lattice, family):
@@ -127,10 +125,10 @@ def elimination(lattice, family, z, table=None):
         raise ElementIsShattered(f"family shatters {lattice.names[z]!r}")
     if table is None:
         table = mobius_table(lattice)
-    realized = {lattice.meet[p][z] for p in family}
+    realized = realized_meets(lattice, family, z)
     witness = None
     for x in lattice.linext:
-        if lattice.leq(x, z) and x not in realized:
+        if lattice.leq(x, z) and not (realized >> x) & 1:
             if table.mu(x, z) != 0:
                 witness = x
                 break
@@ -145,7 +143,8 @@ def elimination(lattice, family, z, table=None):
         else:
             coeffs[y] = Fraction(0)
     cert = EliminationCert(z, witness, coeffs)
-    assert cert.verify(lattice, family)
+    if not cert.verify(lattice, family):
+        raise CheckFailed("elimination identity fails on the family")
     return cert
 
 
@@ -183,7 +182,8 @@ def elimination_rc(lattice, family, z, table=None):
     coeffs = {y: sol[i] for i, y in enumerate(others)}
     witness = next(x for x in lattice.linext if x not in fam)
     cert = EliminationCert(z, witness, coeffs)
-    assert cert.verify(lattice, fam)
+    if not cert.verify(lattice, fam):
+        raise CheckFailed("relaxed elimination identity fails on the family")
     return cert
 
 

@@ -8,6 +8,7 @@ sound subset pruning.
 """
 
 import multiprocessing
+import os
 from dataclasses import dataclass
 
 from .core import _bits, product
@@ -22,7 +23,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .mobius import mobius_table, vanishing_pairs
-from .shattering import shattered_set, shatters
+from .shattering import realized_meets, shattered_set, shatters
 
 CERTIFIED = "CertifiedSSP"
 VIOLATED = "Violated"
@@ -158,6 +159,16 @@ def _branch_task(args):
     return _scan_branch(*args)
 
 
+def parallel_map(fn, tasks, jobs):
+    """``[fn(t) for t in tasks]`` on min(jobs, len(tasks), os.cpu_count())
+    worker processes, or in this process when that is at most 1."""
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
+        return [fn(t) for t in tasks]
+    with multiprocessing.Pool(processes=workers) as pool:
+        return pool.map(fn, tasks)
+
+
 def _brute_force(lattice, budget, jobs, collect_all):
     """Run all branches under pre-allocated quotas and merge in branch order."""
     n = lattice.n
@@ -172,11 +183,7 @@ def _brute_force(lattice, budget, jobs, collect_all):
 
     tasks = [(lattice, firsts[i], quotas[i], collect_all)
              for i in range(len(firsts)) if quotas[i] > 0]
-    if jobs > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(processes=jobs) as pool:
-            results = pool.map(_branch_task, tasks)
-    else:
-        results = [_branch_task(t) for t in tasks]
+    results = parallel_map(_branch_task, tasks, jobs)
 
     total_covered = 0
     violations = []
@@ -192,7 +199,8 @@ def _brute_force(lattice, budget, jobs, collect_all):
         if not complete:
             return INCONCLUSIVE, None, violations, total_covered
         violations.extend(viols)
-    assert total_covered == 1 << n
+    if total_covered != 1 << n:
+        raise CheckFailed(f"search covered {total_covered} of 2^{n} families")
     return CERTIFIED, None, violations, total_covered
 
 
@@ -208,14 +216,14 @@ class SspVerdict:
     families_examined: int
 
 
-def _certificate_verdict(lattice):
+def _certificate_verdict(lattice, rc):
+    """The Mobius certificates; ``rc`` says whether the lattice is RC."""
     table = mobius_table(lattice)
     vanishing = vanishing_pairs(lattice, table)
     if not vanishing:
         return SspVerdict(CERTIFIED, CERT_NONVANISHING, None, 0)
-    if (lattice.top is not None
-            and set(vanishing) <= {(lattice.bottom, lattice.top)}
-            and is_rc(lattice) is None):
+    if (rc and lattice.top is not None
+            and set(vanishing) <= {(lattice.bottom, lattice.top)}):
         return SspVerdict(CERTIFIED, CERT_RC_ONCE, None, 0)
     return SspVerdict(INCONCLUSIVE, None, None, 0)
 
@@ -229,22 +237,24 @@ def is_ssp(lattice, strategy="auto", budget=DEFAULT_BUDGET, jobs=1):
     """Decide the SSP property.
 
     strategy "certificate" applies the Mobius-function certificates only;
-    "brute" enumerates families exhaustively within the budget; "auto" tries
-    the certificates, then the non-RC counterexample, then brute force.
-    Resource exhaustion yields Inconclusive, never an exception.  Every
-    Violated verdict is re-verified from the definition before returning.
+    "brute" enumerates families exhaustively within the budget; "auto" gives
+    the non-RC counterexample, else tries the certificates, then brute force
+    (a non-RC lattice has a 3-element interval [x, y] with mu(x, y) = 0, so
+    no certificate applies to it).  Resource exhaustion yields Inconclusive,
+    never an exception.  Every Violated verdict is re-verified from the
+    definition before returning.
     """
     if strategy not in ("auto", "brute", "certificate"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy in ("auto", "certificate"):
-        verdict = _certificate_verdict(lattice)
-        if strategy == "certificate" or verdict.outcome == CERTIFIED:
-            return verdict
         witness = is_rc(lattice)
-        if witness is not None:
+        if strategy == "auto" and witness is not None:
             fam = non_rc_family(lattice, witness)
             _verify_witness(lattice, fam)
             return SspVerdict(VIOLATED, None, fam, 1)
+        verdict = _certificate_verdict(lattice, witness is None)
+        if strategy == "certificate" or verdict.outcome == CERTIFIED:
+            return verdict
     outcome, witness, _, covered = _brute_force(lattice, budget, jobs, False)
     if outcome == VIOLATED:
         _verify_witness(lattice, witness)
@@ -263,7 +273,8 @@ def violating_families(lattice, budget=DEFAULT_BUDGET, jobs=1):
         raise BudgetExceeded(
             f"2^{lattice.n} families exceed the budget of {budget}")
     outcome, _, violations, _ = _brute_force(lattice, budget, jobs, True)
-    assert outcome == CERTIFIED or violations
+    if outcome != CERTIFIED:
+        raise CheckFailed("exhaustive search ended before covering every family")
     return sorted(violations, key=lambda f: (len(f), sum(1 << i for i in f)))
 
 
@@ -408,11 +419,12 @@ def one_minimal_check(lattice, family):
         raise NotOneMinimal(
             f"{len(minimals)} minimal non-shattered elements")
     x = minimals[0]
-    assert nset == lattice.upset(x)  # non-shattered sets are up-closed
+    if nset != lattice.upset(x):
+        raise CheckFailed("the non-shattered elements are not up-closed")
 
-    realized = {lattice.meet[u][x] for u in fam}
+    realized = realized_meets(lattice, fam, x)
     y = next(c for c in lattice.linext
-             if lattice.leq(c, x) and c not in realized)
+             if lattice.leq(c, x) and not (realized >> c) & 1)
     dset = frozenset(u for u in range(lattice.n) if lattice.meet[x][u] == y)
     if dset & fam:
         raise CheckFailed("D intersects the family despite the choice of y")

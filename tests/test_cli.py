@@ -172,3 +172,11 @@ def test_ssp_single_family():
     assert out == "Violated, witness {1,2}, |F|=2, |Str|=1\n"
     code, out = run_cli("ssp", "boolean:2", "--family", "1,2")
     assert (code, out) == (0, "OK, |F|=2, |Str|=3\n")
+
+
+def test_negative_budget_rejected_at_parse_time(capsys):
+    for argv in (("ssp", "fig1", "--budget", "-1"),
+                 ("scan", "--max-n", "3", "--budget", "-5")):
+        assert run_cli(*argv) == (2, "")
+        assert "--budget: must be >= 0" in capsys.readouterr().err
+    assert run_cli("ssp", "chain:2", "--budget", "0")[0] == 1

@@ -309,3 +309,27 @@ def test_corpus_is_diverse():
     keys = {canonical_key(lat) for lat in corpus.values()}
     # only intentional coincidences: m3 == pg22 as abstract lattices
     assert len(keys) == len(corpus) - 1
+
+
+_FIELDS = ("n", "names", "up", "down", "covers", "meet", "join", "bottom",
+           "top", "rank", "linext")
+
+
+def _mask_built_lattices():
+    """Lattices built from up/down masks: corpus intervals and enumerations."""
+    for lat in build_corpus().values():
+        for x in range(lat.n):
+            for y in _bits(lat.up[x]):
+                yield lv.interval(lat, x, y)[0]
+    for n in range(1, 8):
+        yield from lv.enumerate_lattices(n)
+
+
+def test_mask_constructor_matches_from_covers():
+    checked = 0
+    for lat in _mask_built_lattices():
+        again = lv.from_covers(lat.n, lat.names, lat.covers)
+        for field in _FIELDS:
+            assert getattr(lat, field) == getattr(again, field), (lat, field)
+        checked += 1
+    assert checked > 500

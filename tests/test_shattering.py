@@ -12,6 +12,7 @@ from latticevc.errors import (
     NoNonvanishingWitness,
     NotRanked,
 )
+from latticevc.shattering import realized_meets
 
 from conftest import naive_shattered_set, naive_shatters, random_family
 
@@ -79,6 +80,15 @@ def test_matches_naive_oracle_random(corpus, rng):
             assert lv.shattered_set(lat, fam) == naive_shattered_set(lat, fam), name
             y = rng.randrange(lat.n)
             assert lv.shatters(lat, fam, y) == naive_shatters(lat, fam, y), name
+
+
+def test_realized_meets_matches_definition(corpus, rng):
+    for name, lat in corpus.items():
+        for _ in range(20):
+            fam = random_family(lat, rng)
+            y = rng.randrange(lat.n)
+            expected = sum(1 << x for x in {lat.meet[z][y] for z in fam})
+            assert realized_meets(lat, fam, y) == expected, name
 
 
 def test_hereditary_shattering(corpus, rng):

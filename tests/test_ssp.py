@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import pytest
 
 import latticevc as lv
@@ -129,6 +132,51 @@ def test_brute_jobs_deterministic(corpus):
         one = lv.is_ssp(lat, "brute", jobs=1)
         two = lv.is_ssp(lat, "brute", jobs=2)
         assert one == two
+
+
+def _recording_pool(monkeypatch):
+    """Replace multiprocessing.Pool by an in-process fake; returns the list
+    of worker counts asked for.  No worker process is ever started."""
+    requested = []
+
+    class FakePool:
+        def __init__(self, processes):
+            requested.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    return requested
+
+
+def test_worker_count_clamped_to_cpus(monkeypatch):
+    f1 = lv.fig1()
+    serial = lv.is_ssp(f1, "brute", jobs=1)
+    requested = _recording_pool(monkeypatch)
+    assert lv.is_ssp(f1, "brute", jobs=10**6) == serial
+    assert all(p <= os.cpu_count() for p in requested)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert lv.is_ssp(f1, "brute", jobs=10**6) == serial
+    assert requested[-1] == 3
+
+
+def test_worker_count_clamped_to_tasks(monkeypatch):
+    serial = lv.conjecture_scan(4, jobs=1)
+    requested = _recording_pool(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    # sizes 1-3 have one lattice each and run serially; size 4 has two
+    assert lv.conjecture_scan(4, jobs=10**6) == serial
+    assert requested == [2]
+    assert ssp.parallel_map(abs, [], 10**6) == []
+    assert ssp.parallel_map(abs, [-1, -2], 0) == [1, 2]
+    assert requested == [2]
 
 
 def test_verdict_witness_sound(corpus):

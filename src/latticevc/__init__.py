@@ -6,7 +6,9 @@ indices.  See the module docstrings for the individual areas:
 
 - :mod:`latticevc.core`       lattices, intervals, products, text format
 - :mod:`latticevc.mobius`     exact Mobius tables, inversion, sign checks
-- :mod:`latticevc.shattering` Str(F), VC dimension, spanning certificates
+- :mod:`latticevc.shattering` Str(F), VC dimension, characteristic rows,
+                              spanning certificates
+- :mod:`latticevc.linalg`     exact rational rank / solve
 - :mod:`latticevc.ssp`        RC decision and SSP verification
 - :mod:`latticevc.builders`   Boolean/chain/subspace/matroid lattices
 - :mod:`latticevc.search`     isomorph-free enumeration and the RC scan
@@ -48,10 +50,9 @@ from .search import (
     is_isomorphic,
 )
 from .shattering import (
-    CharMatrix,
     EliminationCert,
     basis_check,
-    char_matrix,
+    char_rows,
     elimination,
     elimination_rc,
     shattered_set,

@@ -258,14 +258,18 @@ def _default_jobs():
         return 1
 
 
-def _budget(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _at_least(lo):
+    """argparse type for an int option that must be >= lo."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+    return parse
 
 
 def _build_parser():
@@ -310,8 +314,8 @@ def _build_parser():
     add_source(p)
     p.add_argument("--strategy", choices=("auto", "brute", "certificate"),
                    default="auto")
-    p.add_argument("--budget", type=_budget, default=ssp.DEFAULT_BUDGET)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--budget", type=_at_least(0), default=ssp.DEFAULT_BUDGET)
+    p.add_argument("--jobs", type=_at_least(1), default=_default_jobs())
     p.add_argument("--family",
                    help="check the single-family inequality |Str(F)| >= |F| "
                         "instead of the whole lattice")
@@ -324,9 +328,9 @@ def _build_parser():
     p.set_defaults(func=_cmd_antichain)
 
     p = sub.add_parser("scan", help="RC-vs-SSP scan over all small lattices")
-    p.add_argument("--max-n", type=int, default=6)
-    p.add_argument("--budget", type=_budget, default=ssp.DEFAULT_BUDGET)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--max-n", type=_at_least(1), default=6)
+    p.add_argument("--budget", type=_at_least(0), default=ssp.DEFAULT_BUDGET)
+    p.add_argument("--jobs", type=_at_least(1), default=_default_jobs())
     p.add_argument("--format", choices=("text", "tsv"), default="text")
     p.set_defaults(func=_cmd_scan)
 

@@ -143,25 +143,25 @@ def from_covers(n, names, covers):
     if len(order) < n:
         raise NotAPoset("cover graph contains a cycle")
 
-    up = [1 << i for i in range(n)]
-    for x in reversed(order):
+    down = [1 << i for i in range(n)]
+    for x in order:
         for p in parents[x]:
-            up[x] |= up[p]
-    return _from_up_masks(names, up)
+            down[p] |= down[x]
+    return _from_down_masks(names, down)
 
 
-def _from_up_masks(names, up):
-    """Trusted constructor from reflexive, transitive up-set masks.
+def _from_down_masks(names, down):
+    """Trusted constructor from reflexive, transitive down-set masks.
 
-    Derives the down-sets, checks for a unique bottom and for meets (and
+    Derives the up-sets, checks for a unique bottom and for meets (and
     joins when a top exists), and computes the covers (the transitive
     reduction), the smallest-index-first linear extension and the rank.
     """
     n = len(names)
-    down = [0] * n
-    for x in range(n):
-        for y in _bits(up[x]):
-            down[y] |= 1 << x
+    up = [0] * n
+    for y in range(n):
+        for x in _bits(down[y]):
+            up[x] |= 1 << y
 
     minimals = [x for x in range(n) if down[x] == 1 << x]
     if len(minimals) != 1:
@@ -279,13 +279,13 @@ def interval(lattice, x, y):
             f"{lattice.names[x]!r} is not below {lattice.names[y]!r}")
     carrier = list(_bits(lattice.up[x] & lattice.down[y]))
     pos = {z: i for i, z in enumerate(carrier)}
-    up = []
+    down = []
     for z in carrier:
         mask = 0
-        for w in _bits(lattice.up[z] & lattice.down[y]):
+        for w in _bits(lattice.down[z] & lattice.up[x]):
             mask |= 1 << pos[w]
-        up.append(mask)
-    sub = _from_up_masks(tuple(lattice.names[z] for z in carrier), up)
+        down.append(mask)
+    sub = _from_down_masks(tuple(lattice.names[z] for z in carrier), down)
     return sub, tuple(carrier)
 
 

@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals.
 
 Everything here is plain Gaussian elimination on lists of Fraction; no
-floating point is used anywhere, so ranks, kernels and solved coefficients
-are exact.  Matrices are small (at most a few hundred rows), which keeps
+floating point is used anywhere, so ranks and solved coefficients are
+exact.  Matrices are small (at most a few hundred rows), which keeps
 the naive O(n^3) elimination perfectly adequate.
 """
 
@@ -47,27 +47,6 @@ def rank(rows):
         return 0
     _, pivots = rref(rows)
     return len(pivots)
-
-
-def nullspace(rows):
-    """Basis of the right kernel {v : M v = 0}, one tuple per basis vector.
-
-    Free variables are set to 1 one at a time, in increasing column order,
-    so the basis is deterministic.
-    """
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    ech, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -ech[r][fc]
-        basis.append(tuple(v))
-    return basis
 
 
 def solve_combination(rows, target):

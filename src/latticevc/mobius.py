@@ -2,6 +2,10 @@
 
 All arithmetic is exact (Python integers); values on product lattices can
 exceed machine width, which is why nothing here touches floats.
+
+A table keeps one list per element: row x holds mu(x, y) at index y for
+every y >= x, filled along the lattice's linear extension.  Pairs are read
+off the up-masks in index order, so nothing is ever sorted.
 """
 
 from .core import _bits
@@ -9,48 +13,55 @@ from .errors import NotRanked
 
 
 class MobiusTable:
-    """mu(x, y) for every comparable pair x <= y of one lattice."""
+    """mu(x, y) for every comparable pair x <= y of one lattice.
 
-    def __init__(self, lattice, values):
+    ``rows[x][y]`` is mu(x, y) when x <= y; the other entries of a row are
+    unused, so every lookup checks the order first.
+    """
+
+    def __init__(self, lattice, rows):
         self.lattice = lattice
-        self._mu = values
+        self._rows = rows
 
     def mu(self, x, y):
-        try:
-            return self._mu[(x, y)]
-        except KeyError:
+        lat = self.lattice
+        # explicit: a bare list index would wrap a negative x or y
+        if not (0 <= x < lat.n and 0 <= y < lat.n):
             raise ValueError(
-                f"mu undefined: {self.lattice.names[x]!r} is not below "
-                f"{self.lattice.names[y]!r}") from None
+                f"mu undefined: ({x}, {y}) is outside 0..{lat.n - 1}")
+        if not lat.leq(x, y):
+            raise ValueError(
+                f"mu undefined: {lat.names[x]!r} is not below "
+                f"{lat.names[y]!r}")
+        return self._rows[x][y]
 
     def pairs(self):
-        """All (x, y, mu) triples in a fixed order."""
-        for (x, y), v in sorted(self._mu.items()):
-            yield x, y, v
+        """All (x, y, mu) triples, ordered by x and then by y."""
+        for x, row in enumerate(self._rows):
+            for y in _bits(self.lattice.up[x]):
+                yield x, y, row[y]
 
     def __len__(self):
-        return len(self._mu)
+        return sum(m.bit_count() for m in self.lattice.up)
 
 
 def mobius_table(lattice):
     """Full table via the defining recurrence along a linear extension."""
     up = lattice.up
     down = lattice.down
-    values = {}
+    rows = []
     for x in range(lattice.n):
-        values[(x, x)] = 1
+        row = [0] * lattice.n
+        row[x] = 1
         for y in lattice.linext:
-            if y == x or not lattice.leq(x, y):
-                continue
-            s = 0
-            for z in _bits(up[x] & down[y] & ~(1 << y)):
-                s += values[(x, z)]
-            values[(x, y)] = -s
-    return MobiusTable(lattice, values)
+            if y != x and (up[x] >> y) & 1:
+                row[y] = -sum(row[z] for z in _bits(up[x] & down[y] & ~(1 << y)))
+        rows.append(row)
+    return MobiusTable(lattice, rows)
 
 
 def vanishing_pairs(lattice, table=None):
-    """Comparable pairs with mu = 0, sorted by index; empty iff nonvanishing."""
+    """Comparable pairs with mu = 0 in index order; empty iff nonvanishing."""
     if table is None:
         table = mobius_table(lattice)
     return [(x, y) for x, y, v in table.pairs() if v == 0]

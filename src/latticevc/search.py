@@ -9,7 +9,7 @@ is needed; duplicates across labelings are rejected by canonical form.
 
 from dataclasses import dataclass
 
-from .core import _bits, _from_up_masks, from_covers
+from .core import _from_down_masks, from_covers
 from .errors import TooLarge
 from .ssp import (CERTIFIED, DEFAULT_BUDGET, INCONCLUSIVE, is_rc, is_ssp,
                   parallel_map)
@@ -123,14 +123,6 @@ def is_isomorphic(a, b):
 # enumeration
 # ---------------------------------------------------------------------------
 
-def _lattice_from_downs(n, down):
-    up = [0] * n
-    for y in range(n):
-        for x in _bits(down[y]):
-            up[x] |= 1 << y
-    return _from_up_masks(tuple(str(i) for i in range(n)), up)
-
-
 def enumerate_lattices(n):
     """Every lattice on n elements, exactly once up to isomorphism.
 
@@ -143,12 +135,13 @@ def enumerate_lattices(n):
         yield from_covers(1, None, [])
         return
 
+    names = tuple(str(i) for i in range(n))
     seen = set()
     down = [1]  # down-set masks of the partial structure; element 0 is bottom
 
     def extend(i):
         if i == n:
-            lattice = _lattice_from_downs(n, down)
+            lattice = _from_down_masks(names, down)
             key = canonical_key(lattice)
             if key not in seen:
                 seen.add(key)

@@ -2,8 +2,9 @@
 
 A family F shatters y when every x <= y arises as z ^ y (meet) for some
 z in F.  The linear-algebra side works with the indicator rows
-chi_x(y) = [y >= x]; restricted to a family's columns these rows carry the
-spanning/elimination certificates that bound |F| by |Str(F)|.
+chi_x(y) = [y >= x], which are the up-masks ``lattice.up[x]`` read as 0/1
+vectors.  ``char_rows`` restricts them to a family's columns; those rows
+carry the spanning/elimination certificates that bound |F| by |Str(F)|.
 """
 
 from fractions import Fraction
@@ -52,29 +53,10 @@ def vc_dim(lattice, family):
     return max(lattice.rank[y] for y in shattered_set(lattice, family))
 
 
-class CharMatrix:
-    """0/1 matrix with entries[x][y] = 1 iff y >= x; row x is chi_x."""
-
-    def __init__(self, lattice):
-        self.lattice = lattice
-        self.n = lattice.n
-
-    def entry(self, x, y):
-        return (self.lattice.up[x] >> y) & 1
-
-    def dense(self):
-        return tuple(tuple((m >> y) & 1 for y in range(self.n))
-                     for m in self.lattice.up)
-
-    def restrict(self, row_elements, col_elements):
-        """Rows chi_x (x in row_elements) restricted to the given columns."""
-        cols = list(col_elements)
-        return [[(self.lattice.up[x] >> y) & 1 for y in cols]
-                for x in row_elements]
-
-
-def char_matrix(lattice):
-    return CharMatrix(lattice)
+def char_rows(lattice, row_elements, col_elements):
+    """Rows chi_x (x in row_elements) restricted to the given columns."""
+    cols = list(col_elements)
+    return [[(lattice.up[x] >> y) & 1 for y in cols] for x in row_elements]
 
 
 def basis_check(lattice):
@@ -84,8 +66,7 @@ def basis_check(lattice):
     always holds; the function recomputes the rank exactly rather than
     assuming it.
     """
-    cm = char_matrix(lattice)
-    full = cm.restrict(range(lattice.n), range(lattice.n))
+    full = char_rows(lattice, range(lattice.n), range(lattice.n))
     return linalg.rank(full) == lattice.n
 
 
@@ -171,9 +152,8 @@ def elimination_rc(lattice, family, z, table=None):
 
     cols = sorted(fam)
     others = [y for y in range(lattice.n) if y != z]
-    cm = char_matrix(lattice)
-    rows = cm.restrict(others, cols)
-    target = cm.restrict([z], cols)[0]
+    rows = char_rows(lattice, others, cols)
+    target = char_rows(lattice, [z], cols)[0]
     sol = linalg.solve_combination(rows, target)
     if sol is None:
         raise NoNonvanishingWitness(
@@ -197,5 +177,5 @@ def spanning_certificate(lattice, family):
     if not fam:
         return 0
     sset = sorted(shattered_set(lattice, fam))
-    rows = char_matrix(lattice).restrict(sset, fam)
+    rows = char_rows(lattice, sset, fam)
     return linalg.rank(rows)

@@ -179,4 +179,11 @@ def test_negative_budget_rejected_at_parse_time(capsys):
                  ("scan", "--max-n", "3", "--budget", "-5")):
         assert run_cli(*argv) == (2, "")
         assert "--budget: must be >= 0" in capsys.readouterr().err
+    for argv, message in ((("scan", "--max-n", "0"), "--max-n: must be >= 1"),
+                          (("scan", "--max-n", "-3"), "--max-n: must be >= 1"),
+                          (("scan", "--jobs", "0"), "--jobs: must be >= 1"),
+                          (("ssp", "fig1", "--jobs", "0"), "--jobs: must be >= 1"),
+                          (("ssp", "fig1", "--jobs", "-4"), "--jobs: must be >= 1")):
+        assert run_cli(*argv) == (2, "")
+        assert message in capsys.readouterr().err
     assert run_cli("ssp", "chain:2", "--budget", "0")[0] == 1

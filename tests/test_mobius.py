@@ -31,6 +31,12 @@ def test_mu_incomparable_rejected():
     table = lv.mobius_table(b2)
     with pytest.raises(ValueError):
         table.mu(b2.index("1"), b2.index("2"))
+    # out-of-range indices, including a negative one a list would wrap
+    for x in (-1, b2.n):
+        with pytest.raises(ValueError):
+            table.mu(x, b2.top)
+        with pytest.raises(ValueError):
+            table.mu(b2.bottom, x)
 
 
 def test_vanishing_pairs():
@@ -58,8 +64,12 @@ def test_against_naive_recursion(corpus):
         if lat.n > 20:
             continue
         table = lv.mobius_table(lat)
-        for (x, y), v in naive_mobius(lat).items():
+        oracle = naive_mobius(lat)
+        for (x, y), v in oracle.items():
             assert table.mu(x, y) == v, name
+        assert list(table.pairs()) == [
+            (x, y, v) for (x, y), v in sorted(oracle.items())], name
+        assert len(table) == len(oracle), name
 
 
 def test_product_multiplicativity(corpus):

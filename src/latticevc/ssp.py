@@ -32,6 +32,7 @@ INCONCLUSIVE = "Inconclusive"
 CERT_NONVANISHING = "NonvanishingMu"
 CERT_RC_ONCE = "RcMuVanishingOnce"
 CERT_BRUTE = "BruteForce"
+CERT_NON_RC = "NonRcInterval"  # the Violated non-RC counterexample of "auto"
 
 DEFAULT_BUDGET = 1 << 22
 
@@ -211,7 +212,7 @@ def _brute_force(lattice, budget, jobs, collect_all):
 @dataclass(frozen=True)
 class SspVerdict:
     outcome: str                    # CertifiedSSP / Violated / Inconclusive
-    certificate_kind: str | None    # NonvanishingMu / RcMuVanishingOnce / BruteForce
+    certificate_kind: str | None    # a CERT_* constant naming the route, or None
     witness: frozenset | None       # violating family when outcome is Violated
     families_examined: int
 
@@ -238,11 +239,11 @@ def is_ssp(lattice, strategy="auto", budget=DEFAULT_BUDGET, jobs=1):
 
     strategy "certificate" applies the Mobius-function certificates only;
     "brute" enumerates families exhaustively within the budget; "auto" gives
-    the non-RC counterexample, else tries the certificates, then brute force
-    (a non-RC lattice has a 3-element interval [x, y] with mu(x, y) = 0, so
-    no certificate applies to it).  Resource exhaustion yields Inconclusive,
-    never an exception.  Every Violated verdict is re-verified from the
-    definition before returning.
+    the non-RC counterexample (kind ``CERT_NON_RC``), else tries the
+    certificates, then brute force (a non-RC lattice has a 3-element
+    interval [x, y] with mu(x, y) = 0, so no certificate applies to it).
+    Resource exhaustion yields Inconclusive, never an exception.  Every
+    Violated verdict is re-verified from the definition before returning.
     """
     if strategy not in ("auto", "brute", "certificate"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -251,7 +252,7 @@ def is_ssp(lattice, strategy="auto", budget=DEFAULT_BUDGET, jobs=1):
         if strategy == "auto" and witness is not None:
             fam = non_rc_family(lattice, witness)
             _verify_witness(lattice, fam)
-            return SspVerdict(VIOLATED, None, fam, 1)
+            return SspVerdict(VIOLATED, CERT_NON_RC, fam, 1)
         verdict = _certificate_verdict(lattice, witness is None)
         if strategy == "certificate" or verdict.outcome == CERTIFIED:
             return verdict

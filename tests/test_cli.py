@@ -157,15 +157,6 @@ def test_jobs_flag():
     assert (code, out) == (0, "CertifiedSSP (BruteForce), families=512\n")
 
 
-def test_jobs_env_default(monkeypatch):
-    monkeypatch.setenv(cli.JOBS_ENV, "2")
-    code, out = run_cli("ssp", "--strategy", "brute", "fig1")
-    assert (code, out) == (0, "CertifiedSSP (BruteForce), families=512\n")
-    monkeypatch.setenv(cli.JOBS_ENV, "junk")
-    code, _ = run_cli("ssp", "--strategy", "brute", "fig1")
-    assert code == 0
-
-
 def test_ssp_single_family():
     code, out = run_cli("ssp", "chain:2", "--family", "1,2")
     assert code == 1

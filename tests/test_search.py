@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -46,6 +47,22 @@ def test_enumeration_guard():
         list(lv.enumerate_lattices(9))
 
 
+def test_one_construction_per_emitted_lattice(monkeypatch):
+    # duplicates are rejected on the raw down-masks, before construction
+    calls = []
+    build = search._from_down_masks
+
+    def counting(names, down):
+        calls.append(1)
+        return build(names, down)
+
+    monkeypatch.setattr(search, "_from_down_masks", counting)
+    for n, expect in KNOWN_COUNTS.items():
+        calls.clear()
+        assert len(list(lv.enumerate_lattices(n))) == expect
+        assert len(calls) == expect
+
+
 # sha256 of every emitted lattice text for n = 1..7, in enumeration order
 ENUMERATION_SHA256_N7 = (
     "42d5c0172bcb6a5b871c59f265af034f72662dd6d041c6f352e9a879eb528733")
@@ -64,17 +81,28 @@ def test_enumeration_deterministic():
 # canonical form
 # ---------------------------------------------------------------------------
 
-def test_isomorphism_invariant_under_relabeling():
-    lat = lv.fig3b()
-    # reverse the declaration order of everything except the forced bottom
-    n = lat.n
-    perm = [0] + list(range(n - 1, 0, -1))
-    inv = [0] * n
+def _relabel(lat, perm):
+    """The same order with element perm[i] moved to index i."""
+    inv = [0] * lat.n
     for new, old in enumerate(perm):
         inv[old] = new
     covers = [(inv[c], inv[p]) for c, p in lat.covers]
-    relabeled = lv.from_covers(n, None, covers)
-    assert search.is_isomorphic(lat, relabeled)
+    return lv.from_covers(lat.n, None, covers)
+
+
+def test_isomorphism_invariant_under_relabeling():
+    lat = lv.fig3b()
+    # reverse the declaration order of everything except the forced bottom
+    perm = [0] + list(range(lat.n - 1, 0, -1))
+    assert search.is_isomorphic(lat, _relabel(lat, perm))
+    rng = random.Random(4)
+    for lat in (lv.fig1(), lv.boolean(4), lv.product(lv.fig1(), lv.chain(1)),
+                lv.subspace_lattice(3, 2)):
+        perm = list(range(lat.n))
+        rng.shuffle(perm)
+        relabeled = _relabel(lat, perm)
+        assert relabeled.up != lat.up
+        assert search.canonical_key(relabeled) == search.canonical_key(lat)
 
 
 def test_isomorphism_distinguishes():
@@ -95,12 +123,7 @@ def test_canonical_key_on_symmetric_lattice():
     perm = list(range(lat.n))
     perm[1], perm[5] = perm[5], perm[1]
     perm[9], perm[12] = perm[12], perm[9]
-    inv = [0] * lat.n
-    for new, old in enumerate(perm):
-        inv[old] = new
-    covers = [(inv[c], inv[p]) for c, p in lat.covers]
-    relabeled = lv.from_covers(lat.n, None, covers)
-    assert search.canonical_key(relabeled) == key
+    assert search.canonical_key(_relabel(lat, perm)) == key
 
 
 # ---------------------------------------------------------------------------

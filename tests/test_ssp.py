@@ -45,6 +45,14 @@ def test_is_rc_boolean():
         assert lv.is_rc(lv.boolean(n)) is None
 
 
+def test_auto_verdict_carries_rc_status():
+    # the scan reads RC off the verdict instead of calling is_rc again
+    for n in range(1, 8):
+        for lat in lv.enumerate_lattices(n):
+            kind = lv.is_ssp(lat).certificate_kind
+            assert (lv.is_rc(lat) is None) == (kind != ssp.CERT_NON_RC)
+
+
 def test_non_rc_family_path():
     c2 = lv.chain(2)
     fam = lv.non_rc_family(c2, lv.is_rc(c2))

@@ -63,18 +63,24 @@ def test_one_construction_per_emitted_lattice(monkeypatch):
         assert len(calls) == expect
 
 
-# sha256 of every emitted lattice text for n = 1..7, in enumeration order
+# sha256 of every emitted lattice text for n = 1..7 and n = 1..8, in
+# enumeration order
 ENUMERATION_SHA256_N7 = (
     "42d5c0172bcb6a5b871c59f265af034f72662dd6d041c6f352e9a879eb528733")
+ENUMERATION_SHA256_N8 = (
+    "5d795807f588a3549b5cf21afc8992ba0e0aa97efd46aa41180715408beaddb8")
 
 
 def test_enumeration_deterministic():
     a = [lv.emit_lattice_text(lat) for lat in lv.enumerate_lattices(6)]
     b = [lv.emit_lattice_text(lat) for lat in lv.enumerate_lattices(6)]
     assert a == b
-    text = "".join(lv.emit_lattice_text(lat)
-                   for n in range(1, 8) for lat in lv.enumerate_lattices(n))
+    texts = [[lv.emit_lattice_text(lat) for lat in lv.enumerate_lattices(n)]
+             for n in range(1, 9)]
+    text = "".join(t for per_n in texts[:7] for t in per_n)
     assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATION_SHA256_N7
+    text += "".join(texts[7])
+    assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATION_SHA256_N8
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,16 @@ Lattices are generated by adding elements along a linear extension: each
 new element picks a down-closed strict down-set that keeps every pairwise
 meet unique, and the last element is forced to sit above everything.  A
 finite meet-semilattice with a top is a lattice, so no separate join check
-is needed.  Duplicates across labelings are rejected by the canonical form
-of the raw down-masks, before construction, so one :class:`Lattice` is built
-and validated per isomorphism class.
+is needed.
+
+Isomorphs are rejected inside the search tree, in the sense of orderly
+generation (McKay 1998; Heitzig & Reinhold 2002): every partial structure
+(prefix) is keyed by the canonical form of its raw down-masks, and a prefix
+isomorphic to one met earlier is not extended.  The extension rule is
+isomorphism-invariant, so the pruned subtree only holds relabelings of
+leaves already emitted from the earlier prefix, which the depth-first order
+has finished.  One :class:`Lattice` is built and validated per isomorphism
+class.
 """
 
 from dataclasses import dataclass
@@ -16,7 +23,7 @@ from .errors import TooLarge
 from .ssp import (CERT_NON_RC, CERTIFIED, DEFAULT_BUDGET, INCONCLUSIVE, is_ssp,
                   parallel_map)
 
-MAX_ENUM = 8
+MAX_ENUM = 10
 
 
 # ---------------------------------------------------------------------------
@@ -126,22 +133,31 @@ def is_isomorphic(a, b):
 def enumerate_lattices(n):
     """Every lattice on n elements, exactly once up to isomorphism.
 
+    Each prefix of 1 <= i < n elements is keyed once, on entry; a prefix
+    isomorphic to an earlier one is not extended.  This emits the same
+    sequence as keying every leaf: candidates are down-closed, contain the
+    bottom and keep meets unique, so isomorphic prefixes have isomorphic
+    leaves, and depth-first order finishes the earlier prefix first.  The
+    forced top does not change the isomorphism class, so distinct
+    (n-1)-element prefixes already give distinct lattices.
+
     Deterministic order; every emitted structure has passed full
     construction validation including join existence.
     """
     if not 1 <= n <= MAX_ENUM:
         raise TooLarge(f"enumeration guard is n <= {MAX_ENUM}")
     names = tuple(str(i) for i in range(n))
-    seen = set()
+    seen = set()  # keys are (size, encoding), so one set serves every level
     down = [1]  # down-set masks of the partial structure; element 0 is bottom
 
     def extend(i):
         if i == n:
-            key = _order_key(_transpose(down), down)
-            if key not in seen:
-                seen.add(key)
-                yield _from_down_masks(names, down)
+            yield _from_down_masks(names, down)
             return
+        key = _order_key(_transpose(down), down)
+        if key in seen:
+            return  # an isomorphic prefix was extended earlier
+        seen.add(key)
         full = (1 << i) - 1
         candidates = [full] if i == n - 1 else range(1, full + 1)
         for dmask in candidates:
@@ -213,8 +229,11 @@ def conjecture_scan(n_max, budget=DEFAULT_BUDGET, jobs=1):
     first and labels a non-RC counterexample ``CERT_NON_RC``, so RC is
     decided once per lattice; a lattice whose RC status and decided verdict
     disagree is recorded verbatim with its witness.  Reports do not depend
-    on ``jobs``.
+    on ``jobs``.  An ``n_max`` above ``MAX_ENUM`` raises ``TooLarge`` before
+    anything is enumerated.
     """
+    if n_max > MAX_ENUM:
+        raise TooLarge(f"enumeration guard is n <= {MAX_ENUM}")
     reports = []
     for n in range(1, n_max + 1):
         lattices = list(enumerate_lattices(n))

@@ -1,16 +1,17 @@
 import hashlib
+import io
 import random
 
 import pytest
 
 import latticevc as lv
-from latticevc import search
+from latticevc import cli, search
 from latticevc.errors import TooLarge
 
 from conftest import oracle_lattice_count
 
 
-KNOWN_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53}
+KNOWN_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222}
 
 
 def test_counts_match_labeled_poset_oracle():
@@ -44,7 +45,19 @@ def test_enumeration_guard():
     with pytest.raises(TooLarge):
         list(lv.enumerate_lattices(0))
     with pytest.raises(TooLarge):
-        list(lv.enumerate_lattices(9))
+        list(lv.enumerate_lattices(search.MAX_ENUM + 1))
+
+
+def test_scan_guard_refuses_before_enumerating(monkeypatch):
+    def fail(n):
+        raise AssertionError(f"enumerate_lattices({n}) called")
+
+    monkeypatch.setattr(search, "enumerate_lattices", fail)
+    with pytest.raises(TooLarge):
+        lv.conjecture_scan(search.MAX_ENUM + 1)
+    out = io.StringIO()
+    assert cli.run(["scan", "--max-n", str(search.MAX_ENUM + 1)], out) == 2
+    assert out.getvalue() == ""
 
 
 def test_one_construction_per_emitted_lattice(monkeypatch):
@@ -60,6 +73,26 @@ def test_one_construction_per_emitted_lattice(monkeypatch):
     for n, expect in KNOWN_COUNTS.items():
         calls.clear()
         assert len(list(lv.enumerate_lattices(n))) == expect
+        assert len(calls) == expect
+
+
+# _order_key calls per n: one per prefix that is not isomorphic to an
+# earlier one, and none for the emitted lattices themselves
+PREFIX_KEYS = {1: 0, 2: 1, 3: 2, 4: 4, 5: 11, 6: 38, 7: 154, 8: 695}
+
+
+def test_one_key_per_prefix(monkeypatch):
+    calls = []
+    key = search._order_key
+
+    def counting(up, down):
+        calls.append(1)
+        return key(up, down)
+
+    monkeypatch.setattr(search, "_order_key", counting)
+    for n, expect in PREFIX_KEYS.items():
+        calls.clear()
+        assert len(list(lv.enumerate_lattices(n))) == KNOWN_COUNTS[n]
         assert len(calls) == expect
 
 

@@ -108,12 +108,13 @@ def test_enumeration_deterministic():
     a = [lv.emit_lattice_text(lat) for lat in lv.enumerate_lattices(6)]
     b = [lv.emit_lattice_text(lat) for lat in lv.enumerate_lattices(6)]
     assert a == b
-    texts = [[lv.emit_lattice_text(lat) for lat in lv.enumerate_lattices(n)]
-             for n in range(1, 9)]
-    text = "".join(t for per_n in texts[:7] for t in per_n)
-    assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATION_SHA256_N7
-    text += "".join(texts[7])
-    assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATION_SHA256_N8
+    digest = hashlib.sha256()
+    for n in range(1, 9):
+        for lat in lv.enumerate_lattices(n):
+            digest.update(lv.emit_lattice_text(lat).encode())
+        if n == 7:
+            assert digest.hexdigest() == ENUMERATION_SHA256_N7
+    assert digest.hexdigest() == ENUMERATION_SHA256_N8
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ import os
 import sys
 
 from . import builders, search, ssp
-from .core import emit_lattice_text, parse_lattice_text
+from .core import (atoms, emit_lattice_text, format_family,
+                   parse_lattice_text, product)
 from .errors import LatticeError
 from .mobius import mobius_table, vanishing_pairs
 from .shattering import shattered_set, shatters, vc_dim
@@ -47,26 +48,39 @@ def load_source(spec):
         return builders.fig3b()
     if spec.startswith("product(") and spec.endswith(")"):
         left, right = _split_product_args(spec[len("product("):-1])
-        from .core import product
         return product(load_source(left), load_source(right))
-    if spec.startswith("boolean:"):
-        return builders.boolean(_int_arg(spec, 1))
-    if spec.startswith("chain:"):
-        return builders.chain(_int_arg(spec, 1))
-    if spec.startswith("subspace:"):
-        return builders.subspace_lattice(_int_arg(spec, 1), _int_arg(spec, 2))
+    for prefix, build, count in (("boolean:", builders.boolean, 1),
+                                 ("chain:", builders.chain, 1),
+                                 ("subspace:", builders.subspace_lattice, 2)):
+        if spec.startswith(prefix):
+            args = _int_args(spec, count)
+            try:
+                return build(*args)
+            except ValueError as exc:
+                raise UsageError(f"bad builder arguments in {spec!r}: {exc}"
+                                 ) from None
     if os.path.exists(spec):
-        with open(spec, encoding="utf-8") as fh:
-            return parse_lattice_text(fh.read())
+        try:
+            with open(spec, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read {spec!r}: {exc.strerror}") from None
+        except UnicodeDecodeError:
+            raise UsageError(f"{spec!r} is not UTF-8 text") from None
+        return parse_lattice_text(text)
     raise UsageError(f"unknown lattice source {spec!r} (not a builder, not a file)")
 
 
-def _int_arg(spec, pos):
-    parts = spec.split(":")
+def _int_args(spec, count):
+    """The ``count`` integer fields after the builder name, exactly."""
+    parts = spec.split(":")[1:]
     try:
-        return int(parts[pos])
-    except (IndexError, ValueError):
-        raise UsageError(f"bad builder arguments in {spec!r}") from None
+        if len(parts) == count:
+            return [int(p) for p in parts]
+    except ValueError:
+        pass
+    raise UsageError(f"bad builder arguments in {spec!r}: expected {count} "
+                     f"integer field(s)")
 
 
 def _element(lattice, token):
@@ -89,10 +103,6 @@ def _family(lattice, text):
     return frozenset(_element(lattice, tok) for tok in text.split(","))
 
 
-def _format_family(lattice, fam):
-    return "{" + ",".join(lattice.names[i] for i in sorted(fam)) + "}"
-
-
 # ---------------------------------------------------------------------------
 # verbs
 # ---------------------------------------------------------------------------
@@ -104,7 +114,6 @@ def _cmd_build(args, out):
         return 0
     ranked = "yes" if lattice.rank is not None else "no"
     top = lattice.names[lattice.top] if lattice.top is not None else "-"
-    from .core import atoms
     atom_names = ",".join(lattice.names[a] for a in sorted(atoms(lattice)))
     out.write(f"n={lattice.n} bottom={lattice.names[lattice.bottom]} "
               f"top={top} ranked={ranked} covers={len(lattice.covers)} "
@@ -153,7 +162,7 @@ def _cmd_shatter(args, out):
         return 1
     sset = shattered_set(lattice, fam)
     out.write(f"|F|={len(fam)} |Str|={len(sset)} "
-              f"Str={_format_family(lattice, sset)}\n")
+              f"Str={format_family(lattice, sset)}\n")
     return 0
 
 
@@ -168,29 +177,26 @@ def _cmd_ssp(args, out):
     lattice = load_source(args.source)
     if args.family is not None:
         fam = _family(lattice, args.family)
-        size = len(shattered_set(lattice, fam))
-        if size >= len(fam):
-            out.write(f"OK, |F|={len(fam)}, |Str|={size}\n")
+    else:
+        verdict = ssp.is_ssp(lattice, strategy=args.strategy,
+                             budget=args.budget, jobs=args.jobs)
+        if verdict.outcome == ssp.CERTIFIED:
+            line = f"CertifiedSSP ({verdict.certificate_kind})"
+            if verdict.certificate_kind == ssp.CERT_BRUTE:
+                line += f", families={verdict.families_examined}"
+            out.write(line + "\n")
             return 0
-        out.write(f"Violated, witness {_format_family(lattice, fam)}, "
-                  f"|F|={len(fam)}, |Str|={size}\n")
-        return 1
-    verdict = ssp.is_ssp(lattice, strategy=args.strategy, budget=args.budget,
-                         jobs=args.jobs)
-    if verdict.outcome == ssp.CERTIFIED:
-        line = f"CertifiedSSP ({verdict.certificate_kind})"
-        if verdict.certificate_kind == ssp.CERT_BRUTE:
-            line += f", families={verdict.families_examined}"
-        out.write(line + "\n")
+        if verdict.outcome == ssp.INCONCLUSIVE:
+            out.write(f"Inconclusive (budget exhausted), "
+                      f"families={verdict.families_examined}\n")
+            return 1
+        fam = verdict.witness  # re-verified by is_ssp, so it violates
+    size = len(shattered_set(lattice, fam))
+    if size >= len(fam):
+        out.write(f"OK, |F|={len(fam)}, |Str|={size}\n")
         return 0
-    if verdict.outcome == ssp.VIOLATED:
-        fam = verdict.witness
-        size = len(shattered_set(lattice, fam))
-        out.write(f"Violated, witness {_format_family(lattice, fam)}, "
-                  f"|F|={len(fam)}, |Str|={size}\n")
-        return 1
-    out.write(f"Inconclusive (budget exhausted), "
-              f"families={verdict.families_examined}\n")
+    out.write(f"Violated, witness {format_family(lattice, fam)}, "
+              f"|F|={len(fam)}, |Str|={size}\n")
     return 1
 
 
@@ -200,7 +206,7 @@ def _cmd_antichain(args, out):
     fam = _family(lattice, args.family)
     report = ssp.antichain_check(lattice, aset, fam)
     out.write(f"|F|={report.family_size} <= |F_A|={report.bound_size}; "
-              f"F_A={_format_family(lattice, report.below_antichain)}\n")
+              f"F_A={format_family(lattice, report.below_antichain)}\n")
     return 0
 
 

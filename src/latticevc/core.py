@@ -198,14 +198,14 @@ def _from_down_masks(names, down):
             if indeg[p] == 0:
                 heapq.heappush(heap, p)
 
-    meet = _glb_table(n, down, up, names, dual=False)
+    meet = _glb_table(n, down, names, dual=False)
 
     maximals = [x for x in range(n) if up[x] == 1 << x]
     top = maximals[0] if len(maximals) == 1 else None
     join = None
     if top is not None:
         # guaranteed to exist once every meet does and a top is present
-        join = _glb_table(n, up, down, names, dual=True)
+        join = _glb_table(n, up, names, dual=True)
 
     return Lattice(
         n=n,
@@ -222,38 +222,25 @@ def _from_down_masks(names, down):
     )
 
 
-def _glb_table(n, down, up, names, dual):
-    """Meet table (or join table when called with the masks swapped).
+def _glb_table(n, down, names, dual):
+    """Meet table (or join table when called with the up-set masks).
 
-    The glb of x, y is the unique m in D = down[x] & down[y] whose down-set
-    equals D; scanning D's bits from high to low finds it quickly on
-    naturally ordered inputs.
+    The glb of x, y is the element whose down-set is down[x] & down[y]; the
+    masks are distinct, so a ``{mask: element}`` dict finds it or shows that
+    the pair has no unique greatest common lower bound.
     """
+    element = {mask: x for x, mask in enumerate(down)}
     table = [[0] * n for _ in range(n)]
     for x in range(n):
         table[x][x] = x
-        dx = down[x]
         for y in range(x + 1, n):
-            d = dx & down[y]
-            if d == dx:
-                m = x
-            elif d == down[y]:
-                m = y
-            else:
-                m = -1
-                rest = d
-                while rest:
-                    i = rest.bit_length() - 1
-                    if down[i] == d:
-                        m = i
-                        break
-                    rest &= ~(1 << i)
-                if m < 0:
-                    word = "upper" if dual else "lower"
-                    raise NotMeetSemilattice(
-                        f"elements {names[x]!r}, {names[y]!r} have no unique "
-                        f"greatest common {word} bound"
-                    )
+            m = element.get(down[x] & down[y])
+            if m is None:
+                word = "upper" if dual else "lower"
+                raise NotMeetSemilattice(
+                    f"elements {names[x]!r}, {names[y]!r} have no unique "
+                    f"greatest common {word} bound"
+                )
             table[x][y] = table[y][x] = m
     return table
 
@@ -389,6 +376,11 @@ def parse_lattice_text(text):
     if not names:
         raise LatticeFormatError(1, "no elements declared")
     return from_covers(len(names), names, covers)
+
+
+def format_family(lattice, fam):
+    """A set of elements as ``{a,b}``: labels in index order."""
+    return "{" + ",".join(lattice.names[i] for i in sorted(fam)) + "}"
 
 
 def emit_lattice_text(lattice):

@@ -18,10 +18,10 @@ class.
 
 from dataclasses import dataclass
 
-from .core import _bits, _from_down_masks, _transpose
+from .core import (_bits, _from_down_masks, _transpose, emit_lattice_text,
+                   format_family)
 from .errors import TooLarge
-from .ssp import (CERT_NON_RC, CERTIFIED, DEFAULT_BUDGET, INCONCLUSIVE, is_ssp,
-                  parallel_map)
+from .ssp import CERT_NON_RC, CERTIFIED, DEFAULT_BUDGET, INCONCLUSIVE, is_ssp
 
 MAX_ENUM = 10
 
@@ -30,39 +30,22 @@ MAX_ENUM = 10
 # canonical form / isomorphism
 # ---------------------------------------------------------------------------
 
-def _refined_classes(up, down):
-    """Isomorphism-invariant ordered partition of the elements.
-
-    Initial colors are (down-set size, up-set size); the partition is
-    refined by the multisets of colors strictly above and strictly below
-    each element until stable.
-    """
-    n = len(up)
-    color = [(down[x].bit_count(), up[x].bit_count()) for x in range(n)]
-    while True:
-        sig = [(color[x],
-                tuple(sorted(color[u] for u in _bits(up[x] & ~(1 << x)))),
-                tuple(sorted(color[d] for d in _bits(down[x] & ~(1 << x)))))
-               for x in range(n)]
-        palette = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new_color = [palette[s] for s in sig]
-        if len(set(new_color)) == len(set(color)):
-            return [[x for x in range(n) if new_color[x] == c]
-                    for c in sorted(set(new_color))]
-        color = new_color
-
-
 def _order_key(up, down):
     """Canonical form of the order given by reflexive up/down-set masks.
 
-    The key is the lexicographically minimal pairwise-order encoding over
-    all relabelings that respect the refined color partition, found by
-    branch and bound: positions are filled class by class, and a branch is
-    cut as soon as its encoding prefix exceeds the best one seen.
+    Elements are coloured by (down-set size, up-set size), an
+    isomorphism-invariant ordered partition.  The key is the
+    lexicographically minimal pairwise-order encoding over all relabelings
+    that fill the positions colour class by colour class, in ascending
+    colour order, found by branch and bound: a branch is cut as soon as its
+    encoding prefix exceeds the best one seen.
     """
     n = len(up)
-    classes = _refined_classes(up, down)
-    slot_class = [cls for cls in classes for _ in cls]
+    color = [(down[x].bit_count(), up[x].bit_count()) for x in range(n)]
+    slot_class = []
+    for c in sorted(set(color)):
+        cls = [x for x in range(n) if color[x] == c]
+        slot_class += [cls] * len(cls)
 
     chosen = []
     enc = []
@@ -141,6 +124,11 @@ def enumerate_lattices(n):
     forced top does not change the isomorphism class, so distinct
     (n-1)-element prefixes already give distinct lattices.
 
+    A candidate down-set is down-closed when every element it holds has
+    its down-set inside it, and keeps meets unique when its intersection
+    with each existing down-set is one of the prefix's down-sets (the set
+    ``principal``, built once per prefix).
+
     Deterministic order; every emitted structure has passed full
     construction validation including join existence.
     """
@@ -159,34 +147,12 @@ def enumerate_lattices(n):
             return  # an isomorphic prefix was extended earlier
         seen.add(key)
         full = (1 << i) - 1
-        candidates = [full] if i == n - 1 else range(1, full + 1)
+        # odd masks: a strict down-set always contains the bottom
+        candidates = [full] if i == n - 1 else range(1, full + 1, 2)
+        principal = set(down)
         for dmask in candidates:
-            if dmask & 1 == 0:
-                continue  # a strict down-set always contains the bottom
-            ok = True
-            rest = dmask
-            while rest:
-                d = rest.bit_length() - 1
-                if down[d] & ~dmask:
-                    ok = False  # not down-closed
-                    break
-                rest &= ~(1 << d)
-            if ok:
-                # every meet with an existing element must stay unique
-                for x in range(i):
-                    t = dmask & down[x]
-                    found = False
-                    r = t
-                    while r:
-                        m = r.bit_length() - 1
-                        if down[m] == t:
-                            found = True
-                            break
-                        r &= ~(1 << m)
-                    if not found:
-                        ok = False
-                        break
-            if ok:
+            if (all(down[d] & ~dmask == 0 for d in _bits(dmask))
+                    and all(dmask & dx in principal for dx in down)):
                 down.append(dmask | (1 << i))
                 yield from extend(i + 1)
                 down.pop()
@@ -217,33 +183,30 @@ class ScanReport:
     counterexamples: tuple
 
 
-def _scan_one(args):
-    lattice, budget = args
-    return is_ssp(lattice, "auto", budget)
-
-
 def conjecture_scan(n_max, budget=DEFAULT_BUDGET, jobs=1):
     """One ScanReport per size 1..n_max.
 
-    Each lattice gets one ``is_ssp(..., "auto")`` verdict, which tests RC
-    first and labels a non-RC counterexample ``CERT_NON_RC``, so RC is
-    decided once per lattice; a lattice whose RC status and decided verdict
-    disagree is recorded verbatim with its witness.  Reports do not depend
-    on ``jobs``.  An ``n_max`` above ``MAX_ENUM`` raises ``TooLarge`` before
+    The lattices of each size are streamed from :func:`enumerate_lattices`
+    and each gets one ``is_ssp(..., "auto")`` verdict in this process.
+    That verdict tests RC first and labels a non-RC counterexample
+    ``CERT_NON_RC``, so RC is decided once per lattice; a lattice whose RC
+    status and decided verdict disagree is recorded verbatim with its
+    witness.  ``jobs`` reaches only the family search of a lattice that no
+    certificate decides (none exists for n <= 10), so reports do not depend
+    on it.  An ``n_max`` above ``MAX_ENUM`` raises ``TooLarge`` before
     anything is enumerated.
     """
     if n_max > MAX_ENUM:
         raise TooLarge(f"enumeration guard is n <= {MAX_ENUM}")
     reports = []
     for n in range(1, n_max + 1):
-        lattices = list(enumerate_lattices(n))
-        outcomes = parallel_map(_scan_one, [(lat, budget) for lat in lattices],
-                                jobs)
-        rc = ssp = inconclusive = agreements = 0
+        total = rc = ssp = inconclusive = agreements = 0
         counterexamples = []
-        for lattice, verdict in zip(lattices, outcomes):
+        for lattice in enumerate_lattices(n):
+            verdict = is_ssp(lattice, "auto", budget, jobs)
             is_rc_lattice = verdict.certificate_kind != CERT_NON_RC
             certified = verdict.outcome == CERTIFIED
+            total += 1
             rc += is_rc_lattice
             ssp += certified
             if verdict.outcome == INCONCLUSIVE:
@@ -253,7 +216,7 @@ def conjecture_scan(n_max, budget=DEFAULT_BUDGET, jobs=1):
             else:
                 counterexamples.append((lattice, verdict.witness))
         reports.append(ScanReport(
-            n=n, total_lattices=len(lattices), rc_count=rc, ssp_count=ssp,
+            n=n, total_lattices=total, rc_count=rc, ssp_count=ssp,
             inconclusive=inconclusive, agreements=agreements,
             counterexamples=tuple(counterexamples)))
     return reports
@@ -261,8 +224,6 @@ def conjecture_scan(n_max, budget=DEFAULT_BUDGET, jobs=1):
 
 def scan_report_text(reports):
     """Line-oriented human-readable report, counterexamples in full."""
-    from .core import emit_lattice_text
-
     lines = []
     for r in reports:
         lines.append(
@@ -273,8 +234,8 @@ def scan_report_text(reports):
             lines.append("counterexample lattice:")
             lines.extend("  " + ln
                          for ln in emit_lattice_text(lattice).splitlines())
-            lines.append("counterexample family: {"
-                         + ",".join(lattice.names[i] for i in sorted(fam)) + "}")
+            lines.append("counterexample family: "
+                         + format_family(lattice, fam))
     return "\n".join(lines) + "\n"
 
 

@@ -1,5 +1,7 @@
 import io
 
+import pytest
+
 import latticevc as lv
 from latticevc import cli
 
@@ -141,6 +143,19 @@ def test_usage_errors():
     assert code == 2
     code, _ = run_cli("shatter", "fig1", "--family", "zzz")
     assert code == 2
+
+
+@pytest.mark.parametrize("source", [
+    "chain:-1", "subspace:2:0", "product(chain:1,chain:-2)", "boolean:3:7",
+    "chain:1:", "<directory>", "<non-utf8 file>"])
+def test_bad_source_is_a_usage_error(source, tmp_path, capsys):
+    latin1 = tmp_path / "latin1.lat"
+    latin1.write_bytes(b"elem \xe9\n")
+    source = {"<directory>": str(tmp_path),
+              "<non-utf8 file>": str(latin1)}.get(source, source)
+    assert run_cli("build", source) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("latticevc: ") and err.count("\n") == 1
 
 
 def test_format_errors_cite_line(tmp_path, capsys):

@@ -64,8 +64,10 @@ def test_from_covers_rejects_two_minimals():
 
 def test_from_covers_rejects_non_semilattice():
     # two atoms under two coatoms: meets of the coatoms are not unique
-    with pytest.raises(NotMeetSemilattice):
+    with pytest.raises(NotMeetSemilattice) as exc:
         lv.from_covers(5, None, [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4)])
+    assert str(exc.value) == (
+        "elements '3', '4' have no unique greatest common lower bound")
 
 
 def test_from_covers_normalizes_redundant_edges():

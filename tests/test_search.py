@@ -31,7 +31,7 @@ def test_two_element_case():
 
 
 def test_emitted_lattices_are_valid_and_distinct():
-    for n in range(1, 7):
+    for n in range(1, 9):
         lats = list(lv.enumerate_lattices(n))
         keys = [search.canonical_key(lat) for lat in lats]
         assert len(set(keys)) == len(keys)
@@ -143,6 +143,14 @@ def test_isomorphism_invariant_under_relabeling():
         relabeled = _relabel(lat, perm)
         assert relabeled.up != lat.up
         assert search.canonical_key(relabeled) == search.canonical_key(lat)
+    # every lattice of up to 7 elements: the (down-set size, up-set size)
+    # colouring leaves many classes unsplit, so the branch and bound decides
+    for n in range(1, 8):
+        for lat in lv.enumerate_lattices(n):
+            perm = list(range(lat.n))
+            rng.shuffle(perm)
+            assert (search.canonical_key(_relabel(lat, perm))
+                    == search.canonical_key(lat))
 
 
 def test_isomorphism_distinguishes():
@@ -155,8 +163,8 @@ def test_isomorphism_distinguishes():
 
 
 def test_canonical_key_on_symmetric_lattice():
-    # the two rank layers of 7 elements cannot be split by refinement, so
-    # this exercises the branch-and-bound path
+    # the two rank layers of 7 elements are colour classes that only the
+    # branch and bound can order
     lat = lv.subspace_lattice(2, 3)
     key = search.canonical_key(lat)
     assert key[0] == 16

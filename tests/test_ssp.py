@@ -179,11 +179,14 @@ def test_worker_count_clamped_to_tasks(monkeypatch):
     serial = lv.conjecture_scan(4, jobs=1)
     requested = _recording_pool(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    # sizes 1-3 have one lattice each and run serially; size 4 has two
+    # the scan decides its verdicts in this process: jobs reaches only the
+    # family search, which no lattice of up to 10 elements needs
     assert lv.conjecture_scan(4, jobs=10**6) == serial
-    assert requested == [2]
+    assert requested == []
     assert ssp.parallel_map(abs, [], 10**6) == []
     assert ssp.parallel_map(abs, [-1, -2], 0) == [1, 2]
+    assert requested == []
+    assert ssp.parallel_map(abs, [-1, -2], 10**6) == [1, 2]
     assert requested == [2]
 
 

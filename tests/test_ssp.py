@@ -1,3 +1,4 @@
+import hashlib
 import multiprocessing
 import os
 
@@ -133,6 +134,27 @@ def test_brute_budget_semantics():
     # a violated lattice can still be falsified under a small budget
     verdict = lv.is_ssp(lv.chain(2), "brute", budget=8)
     assert verdict.outcome == ssp.VIOLATED
+
+
+# sha256 of the family search's verdicts on every lattice with n <= 7, at
+# budgets that stop it before, inside and after each branch, together with
+# the full violating-family lists
+FAMILY_SEARCH_SHA256_N7 = (
+    "97170881e317525a6f4c6ef098c1acc94a41e2d38d3d67e35ac2c78ca421de8d")
+
+
+def test_family_search_deterministic():
+    digest = hashlib.sha256()
+    for n in range(1, 8):
+        for lat in lv.enumerate_lattices(n):
+            for b in (0, 1, 2, 3, 5, 17, 100, (1 << n) - 1, 1 << n):
+                v = lv.is_ssp(lat, "brute", budget=b)
+                w = None if v.witness is None else sorted(v.witness)
+                digest.update(repr((v.outcome, v.certificate_kind, w,
+                                    v.families_examined)).encode())
+            digest.update(repr([sorted(f) for f in
+                                lv.violating_families(lat)]).encode())
+    assert digest.hexdigest() == FAMILY_SEARCH_SHA256_N7
 
 
 def test_brute_jobs_deterministic(corpus):

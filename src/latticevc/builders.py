@@ -10,14 +10,13 @@ coefficients, and the inclusion-maximal VC-1 family of subspaces.
 from dataclasses import dataclass
 from itertools import combinations, product as iproduct
 
-from .core import _bits, from_covers
+from .core import MAX_ELEMENTS, _bits, _check_size, from_covers
 from .errors import (
     CheckFailed,
     DimensionTooSmall,
     NotAMatroid,
     NotPrime,
     OutOfRange,
-    TooLarge,
 )
 from .shattering import vc_dim
 
@@ -31,8 +30,10 @@ def _subset_name(mask, n):
 
 def boolean(n):
     """Boolean lattice of all subsets of {1..n}; rank is cardinality."""
-    if not 0 <= n <= 20:
-        raise TooLarge("boolean lattice guard is n <= 20")
+    if n < 0:
+        raise ValueError("boolean lattice dimension must be non-negative")
+    # 2^n, clamped so that a huge n computes no huge number
+    _check_size(1 << min(n, MAX_ELEMENTS.bit_length()), f"boolean({n})")
     size = 1 << n
     names = [_subset_name(m, n) for m in range(size)]
     covers = [(m, m | (1 << i))
@@ -139,9 +140,10 @@ def subspace_lattice(q, n):
         raise NotPrime(f"{q} is not prime")
     if n < 1:
         raise ValueError("ambient dimension must be at least 1")
-    total = sum(qbinom(n, d, q) for d in range(n + 1))
-    if total > 100_000:
-        raise TooLarge(f"{total} subspaces exceed the guard of 1e5")
+    total = 0
+    for d in range(n + 1):  # stops at the first layer over the cap
+        total += qbinom(n, d, q)
+        _check_size(total, f"subspace_lattice({q}, {n})")
     names, vecsets, dims = _subspace_elements(q, n)
     covers = [(i, j)
               for i in range(len(vecsets)) for j in range(len(vecsets))

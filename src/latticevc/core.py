@@ -19,9 +19,21 @@ from .errors import (
     NotMeetSemilattice,
     NotRanked,
     NoTop,
+    TooLarge,
 )
 
 _LABEL_BAD_CHARS = set(", \t\r\n#")
+
+# the element cap: it keeps each n x n meet/join table under 4.2 M entries
+MAX_ELEMENTS = 2048
+
+
+def _check_size(count, what):
+    """Raise TooLarge when ``count`` (a lower bound on the element count of
+    ``what``) is over MAX_ELEMENTS; called before anything is built."""
+    if count > MAX_ELEMENTS:
+        raise TooLarge(f"{what} has at least {count} elements, over the cap "
+                       f"of {MAX_ELEMENTS}")
 
 
 def _check_label(label):
@@ -105,8 +117,10 @@ def from_covers(n, names, covers):
     Raises NotAPoset on a cycle, NoBottom when the minimal element is not
     unique, NotMeetSemilattice when some pair has two maximal common lower
     bounds.  The join table is present exactly when a maximal element
-    exists (a finite meet-semilattice with a top is a lattice).
+    exists (a finite meet-semilattice with a top is a lattice).  More than
+    MAX_ELEMENTS elements raise TooLarge.
     """
+    _check_size(n, "the structure")
     if n < 1:
         raise NoBottom("an empty structure has no minimal element")
     if names is None:
@@ -289,6 +303,7 @@ def product(lattice, other):
     joins and ranks are componentwise (rank adds) whenever both factors
     have them; this falls out of the cover construction and revalidation.
     """
+    _check_size(lattice.n * other.n, "the product")
     m = other.n
     names = [f"({a}|{b})" for a in lattice.names for b in other.names]
     covs = []

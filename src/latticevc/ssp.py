@@ -80,84 +80,69 @@ def non_rc_family(lattice, witness):
 # exhaustive search
 #
 # Families are traversed as a subset tree: the children of F extend it by a
-# strictly larger element index.  Shattering data is maintained
-# incrementally (adding a member only grows the realized meets at every y),
-# and a subtree is skipped once |Str(F)| >= |F| + remaining-capacity, which
-# certifies every superset in it.  The budget is pre-allocated to branches
-# by worst-case subtree size so that results do not depend on the worker
-# count.
+# strictly larger element index, so every nonempty family lies in the branch
+# of its least member (n branches).  The empty family never violates
+# (|Str(F)| = 0 = |F|) and is counted without a branch.  Shattering data is
+# maintained incrementally (adding a member only grows the realized meets
+# at every y), and a subtree is skipped once |Str(F)| >= |F| + remaining
+# capacity, which certifies every superset in it.  The budget is
+# pre-allocated to branches by worst-case subtree size so that results do
+# not depend on the worker count.
 # ---------------------------------------------------------------------------
 
-def _scan_branch(lattice, first, quota, collect_all):
-    """DFS over the families whose minimum member is `first`.
+def _scan_branch(task):
+    """DFS over the families whose least member is `first`, within `quota`
+    visited families.
 
-    `first is None` means the branch containing only the empty family.
-    Returns (complete, witness, violations, covered): `witness` is the first
-    violating family in DFS order (when not collecting), `violations` the
-    full tuple of them (when collecting), `covered` the number of families
-    examined or certified by pruning.
+    ``task`` is (lattice, first, quota, collect_all).  Returns (complete,
+    violations, covered): `complete` is False when the search stopped early,
+    `violations` lists the violating families in DFS order (only the first
+    unless collecting), `covered` counts the families examined or certified
+    by pruning.
     """
+    lattice, first, quota, collect_all = task
     n = lattice.n
-    meet = lattice.meet
     down = lattice.down
-    add_bits = [[1 << meet[j][y] for y in range(n)] for j in range(n)]
-    state = {"visited": 0, "covered": 0, "complete": True, "witness": None}
+    add_bits = [[1 << m for m in row] for row in lattice.meet]
+    members = []
     violations = []
+    visited = covered = 0
 
-    def visit(members, size, str_cnt, unsat, next_i):
-        if state["visited"] >= quota:
-            state["complete"] = False
+    def visit(j, str_cnt, unsat):
+        # add member j; False stops the whole branch, so members is not popped
+        nonlocal visited, covered
+        if visited >= quota:
             return False
-        state["visited"] += 1
-        state["covered"] += 1
-        if str_cnt < size:
-            fam = frozenset(members)
-            if collect_all:
-                violations.append(fam)
+        visited += 1
+        covered += 1
+        nb = add_bits[j]
+        new_unsat = []
+        for y, r in unsat:
+            r |= nb[y]
+            if down[y] & ~r == 0:
+                str_cnt += 1
             else:
-                state["witness"] = fam
+                new_unsat.append((y, r))
+        members.append(j)
+        size = len(members)
+        if str_cnt < size:
+            violations.append(frozenset(members))
+            if not collect_all:
                 return False
-        rem = n - next_i
+        rem = n - 1 - j
         if str_cnt >= size + rem:
             # every superset G in this subtree has |G| <= size + rem
             # <= |Str(F)| <= |Str(G)|, so nothing below can violate
-            state["covered"] += (1 << rem) - 1
-            return True
-        for j in range(next_i, n):
-            nb = add_bits[j]
-            new_unsat = []
-            ns = str_cnt
-            for y, r in unsat:
-                r2 = r | nb[y]
-                if down[y] & ~r2 == 0:
-                    ns += 1
-                else:
-                    new_unsat.append((y, r2))
-            members.append(j)
-            ok = visit(members, size + 1, ns, new_unsat, j + 1)
-            members.pop()
-            if not ok:
-                return False
+            covered += (1 << rem) - 1
+        else:
+            for k in range(j + 1, n):
+                if not visit(k, str_cnt, new_unsat):
+                    return False
+        members.pop()
         return True
 
-    if first is None:
-        visit([], 0, 0, [(y, 0) for y in range(n)], n)
-    else:
-        nb = add_bits[first]
-        unsat = []
-        cnt = 0
-        for y in range(n):
-            r = nb[y]
-            if down[y] & ~r == 0:
-                cnt += 1
-            else:
-                unsat.append((y, r))
-        visit([first], 1, cnt, unsat, first + 1)
-    return state["complete"], state["witness"], tuple(violations), state["covered"]
-
-
-def _branch_task(args):
-    return _scan_branch(*args)
+    complete = visit(first, 0, [(y, 0) for y in range(n)])
+    return complete, violations, covered
 
 
 def parallel_map(fn, tasks, jobs):
@@ -171,38 +156,38 @@ def parallel_map(fn, tasks, jobs):
 
 
 def _brute_force(lattice, budget, jobs, collect_all):
-    """Run all branches under pre-allocated quotas and merge in branch order."""
+    """Run the branches under pre-allocated quotas and merge them in order.
+
+    Returns (outcome, violations, covered); a Violated outcome without
+    collect_all carries just its witness.
+    """
     n = lattice.n
-    firsts = [None] + list(range(n))
-    sizes = [1] + [1 << (n - 1 - k) for k in range(n)]
-    quotas = []
-    rem = max(0, budget)
-    for s in sizes:
-        q = min(s, rem)
-        quotas.append(q)
-        rem -= q
+    if budget < 1:
+        return INCONCLUSIVE, [], 0
+    rest = budget - 1  # the empty family
+    tasks = []
+    for first in range(n):
+        quota = min(1 << (n - 1 - first), rest)
+        if quota == 0:
+            break
+        rest -= quota
+        tasks.append((lattice, first, quota, collect_all))
 
-    tasks = [(lattice, firsts[i], quotas[i], collect_all)
-             for i in range(len(firsts)) if quotas[i] > 0]
-    results = parallel_map(_branch_task, tasks, jobs)
-
-    total_covered = 0
+    covered = 1
     violations = []
-    ti = 0
-    for i in range(len(firsts)):
-        if quotas[i] == 0:
-            return INCONCLUSIVE, None, violations, total_covered
-        complete, witness, viols, covered = results[ti]
-        ti += 1
-        total_covered += covered
-        if not collect_all and witness is not None:
-            return VIOLATED, witness, violations, total_covered
+    for complete, found, branch_covered in parallel_map(_scan_branch, tasks,
+                                                        jobs):
+        covered += branch_covered
+        if found and not collect_all:
+            return VIOLATED, found, covered
         if not complete:
-            return INCONCLUSIVE, None, violations, total_covered
-        violations.extend(viols)
-    if total_covered != 1 << n:
-        raise CheckFailed(f"search covered {total_covered} of 2^{n} families")
-    return CERTIFIED, None, violations, total_covered
+            return INCONCLUSIVE, violations, covered
+        violations += found
+    if len(tasks) < n:
+        return INCONCLUSIVE, violations, covered
+    if covered != 1 << n:
+        raise CheckFailed(f"search covered {covered} of 2^{n} families")
+    return CERTIFIED, violations, covered
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +241,9 @@ def is_ssp(lattice, strategy="auto", budget=DEFAULT_BUDGET, jobs=1):
         verdict = _certificate_verdict(lattice, witness is None)
         if strategy == "certificate" or verdict.outcome == CERTIFIED:
             return verdict
-    outcome, witness, _, covered = _brute_force(lattice, budget, jobs, False)
+    outcome, violations, covered = _brute_force(lattice, budget, jobs, False)
     if outcome == VIOLATED:
+        witness = violations[0]
         _verify_witness(lattice, witness)
         return SspVerdict(VIOLATED, None, witness, covered)
     if outcome == CERTIFIED:
@@ -273,7 +259,7 @@ def violating_families(lattice, budget=DEFAULT_BUDGET, jobs=1):
     if (1 << lattice.n) > budget:
         raise BudgetExceeded(
             f"2^{lattice.n} families exceed the budget of {budget}")
-    outcome, _, violations, _ = _brute_force(lattice, budget, jobs, True)
+    outcome, violations, _ = _brute_force(lattice, budget, jobs, True)
     if outcome != CERTIFIED:
         raise CheckFailed("exhaustive search ended before covering every family")
     return sorted(violations, key=lambda f: (len(f), sum(1 << i for i in f)))

@@ -35,6 +35,8 @@ def test_boolean_top_mobius_sign():
 def test_boolean_guard():
     with pytest.raises(TooLarge):
         lv.boolean(21)
+    with pytest.raises(ValueError):
+        lv.boolean(-1)
 
 
 def test_chain():

@@ -1,6 +1,9 @@
+import io
+
 import pytest
 
 import latticevc as lv
+from latticevc import cli, core
 from latticevc.core import _bits
 from latticevc.errors import (
     LatticeFormatError,
@@ -10,6 +13,7 @@ from latticevc.errors import (
     NotMeetSemilattice,
     NotRanked,
     NoTop,
+    TooLarge,
 )
 from latticevc.search import canonical_key
 
@@ -137,6 +141,29 @@ def test_product_path_b1_ranked():
 def test_product_cardinality():
     p = lv.product(lv.fig1(), lv.boolean(1))
     assert p.n == 18
+
+
+def test_element_cap_refuses_before_construction(monkeypatch):
+    b6 = lv.boolean(6)
+    built = []
+    construct = core._from_down_masks
+
+    def recording(names, down):
+        built.append(len(names))
+        if len(names) > core.MAX_ELEMENTS:
+            raise AssertionError("an over-cap structure reached construction")
+        return construct(names, down)
+
+    monkeypatch.setattr(core, "_from_down_masks", recording)
+    with pytest.raises(TooLarge):
+        lv.from_covers(core.MAX_ELEMENTS + 1, None, [])
+    with pytest.raises(TooLarge):
+        lv.product(b6, b6)
+    assert built == []
+    out = io.StringIO()
+    assert cli.run(["build", "product(boolean:6,boolean:6)"], out=out) == 2
+    assert out.getvalue() == ""
+    assert built == [64, 64]  # the two factors, never their product
 
 
 def test_product_componentwise_tables():

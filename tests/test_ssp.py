@@ -162,6 +162,13 @@ def test_brute_jobs_deterministic(corpus):
         one = lv.is_ssp(lat, "brute", jobs=1)
         two = lv.is_ssp(lat, "brute", jobs=2)
         assert one == two
+    # budgets that cut fig1's search: at 300 the first branch is covered in
+    # full and the second in part, so two workers merge a partial branch
+    f1 = lv.fig1()
+    for budget in (100, 300, 511):
+        one = lv.is_ssp(f1, "brute", budget=budget, jobs=1)
+        two = lv.is_ssp(f1, "brute", budget=budget, jobs=2)
+        assert one == two
 
 
 def _recording_pool(monkeypatch):

@@ -45,6 +45,7 @@ def chain(k):
     """Total order 0 < 1 < ... < k."""
     if k < 0:
         raise ValueError("chain length must be non-negative")
+    _check_size(k + 1, f"chain({k})")
     return from_covers(k + 1, [str(i) for i in range(k + 1)],
                        [(i, i + 1) for i in range(k)])
 
@@ -118,15 +119,11 @@ class Subspace:
         return ".".join("".join(str(v) for v in row) for row in self.basis)
 
 
-def _subspace_elements(q, n):
-    """(names, vecsets, dims) for all subspaces, ordered by (dim, basis)."""
-    subs = [Subspace(q, n, basis)
+def _subspaces(q, n):
+    """Every subspace of F_q^n as a Subspace, ordered by (dim, basis)."""
+    return [Subspace(q, n, basis)
             for d in range(n + 1)
             for basis in sorted(_echelon_bases(q, n, d))]
-    names = [s.name() for s in subs]
-    vecsets = [s.vectors() for s in subs]
-    dims = [s.dim() for s in subs]
-    return names, vecsets, dims
 
 
 def subspace_lattice(q, n):
@@ -134,21 +131,25 @@ def subspace_lattice(q, n):
 
     Elements are labelled by their reduced echelon bases ("0" for the zero
     space, rows joined by dots otherwise), so equal labels mean equal
-    subspaces.
+    subspaces.  The q^n vectors of F_q^n, whose sets the covers compare,
+    count against MAX_ELEMENTS first, on clamped arguments.
     """
+    exponent = max(0, min(n, MAX_ELEMENTS.bit_length()))
+    _check_size(min(q, MAX_ELEMENTS + 1) ** exponent,
+                f"F_{q}^{n} in subspace_lattice({q}, {n})")
     if not _is_prime(q):
         raise NotPrime(f"{q} is not prime")
     if n < 1:
         raise ValueError("ambient dimension must be at least 1")
-    total = 0
-    for d in range(n + 1):  # stops at the first layer over the cap
-        total += qbinom(n, d, q)
-        _check_size(total, f"subspace_lattice({q}, {n})")
-    names, vecsets, dims = _subspace_elements(q, n)
+    _check_size(sum(qbinom(n, d, q) for d in range(n + 1)),
+                f"subspace_lattice({q}, {n})")
+    subs = _subspaces(q, n)
+    vecsets = [s.vectors() for s in subs]
+    dims = [s.dim() for s in subs]
     covers = [(i, j)
-              for i in range(len(vecsets)) for j in range(len(vecsets))
-              if dims[j] == dims[i] + 1 and vecsets[i] <= vecsets[j]]
-    return from_covers(len(vecsets), names, covers)
+              for i, a in enumerate(vecsets) for j, b in enumerate(vecsets)
+              if dims[j] == dims[i] + 1 and a <= b]
+    return from_covers(len(subs), [s.name() for s in subs], covers)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +199,13 @@ class MatroidSpec:
 
 
 def from_matroid(spec):
-    """Geometric lattice of flats; lattice rank equals matroid rank."""
+    """Geometric lattice of flats; lattice rank equals matroid rank.
+
+    The 2^g subsets of the g ground elements count against MAX_ELEMENTS
+    before anything else, so ground sets of 12 or more are refused.
+    """
+    _check_size(2 ** min(spec.ground_size, MAX_ELEMENTS.bit_length()),
+                f"the power set of {spec.ground_size} ground elements")
     spec.validate()
     ground = frozenset(range(spec.ground_size))
     subsets = [frozenset(c) for d in range(spec.ground_size + 1)
@@ -207,18 +214,14 @@ def from_matroid(spec):
     flats = [s for s in subsets
              if all(rank_of[s | {x}] > rank_of[s] for x in ground - s)]
     flats.sort(key=lambda s: (len(s), sorted(s)))
-    idx = {s: i for i, s in enumerate(flats)}
-    covers = []
-    for s in flats:
-        for t in flats:
-            if s < t and not any(s < u < t for u in flats):
-                covers.append((idx[s], idx[t]))
     names = [_subset_name(sum(1 << x for x in s), spec.ground_size)
              for s in flats]
-    lattice = from_covers(len(flats), names, covers)
+    lattice = from_covers(len(flats), names,
+                          [(i, j) for i, s in enumerate(flats)
+                           for j, t in enumerate(flats) if s < t])
     if lattice.rank is None:
         raise CheckFailed("the lattice of flats is not ranked")
-    if any(lattice.rank[idx[s]] != rank_of[s] for s in flats):
+    if any(lattice.rank[i] != rank_of[s] for i, s in enumerate(flats)):
         raise CheckFailed("lattice rank differs from matroid rank")
     return lattice
 
@@ -326,26 +329,17 @@ def critical_family(q, n):
     """(lattice, family): q^(n-1) + 2 subspaces of VC dimension 1.
 
     The family consists of the zero space, the full space, and the lines
-    spanned by vectors outside the hyperplane "last coordinate zero".  It
-    is inclusion-maximal: adding any absent subspace raises the VC
-    dimension to at least 2.  Both properties are recomputed here and a
-    failure raises CheckFailed.
+    spanned by vectors outside the hyperplane "last coordinate zero": those
+    whose echelon row has a nonzero last entry.  It is inclusion-maximal:
+    adding any absent subspace raises the VC dimension to at least 2.  Both
+    properties are recomputed here and a failure raises CheckFailed.
     """
     if n < 2:
         raise DimensionTooSmall("need ambient dimension at least 2")
     lattice = subspace_lattice(q, n)
-    _, vecsets, dims = _subspace_elements(q, n)
-    by_set = {s: i for i, s in enumerate(vecsets)}
-    members = {by_set[frozenset({(0,) * n})], dims.index(n)}
-    seen_lines = set()
-    for vec in iproduct(range(q), repeat=n):
-        if vec[-1] == 0:
-            continue
-        line = frozenset(tuple(c * v % q for v in vec) for c in range(q))
-        if line not in seen_lines:
-            seen_lines.add(line)
-            members.add(by_set[line])
-    family = frozenset(members)
+    family = frozenset(
+        i for i, s in enumerate(_subspaces(q, n))
+        if s.dim() in (0, n) or (s.dim() == 1 and s.basis[0][-1] != 0))
     if len(family) != q ** (n - 1) + 2:
         raise CheckFailed("family size is not q^(n-1) + 2")
     if vc_dim(lattice, family) != 1:

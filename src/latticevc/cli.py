@@ -3,12 +3,14 @@
 Lattice sources are either builder expressions (fig1, fig2, fig3b,
 boolean:N, chain:K, subspace:Q:N, product(SRC,SRC)) or paths to files in
 the lattice text format.  Exit status: 0 success, 1 check failed (for
-example a Violated SSP verdict), 2 usage or input error.
+example a Violated SSP verdict), 2 usage or input error, or a worker
+process of the family search that died.
 """
 
 import argparse
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 
 from . import builders, search, ssp
 from .core import (atoms, emit_lattice_text, format_family,
@@ -350,7 +352,7 @@ def run(argv, out=None):
     except UsageError as exc:
         print(f"latticevc: {exc}", file=sys.stderr)
         return 2
-    except LatticeError as exc:
+    except (LatticeError, BrokenExecutor) as exc:
         print(f"latticevc: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -201,13 +201,22 @@ def _from_down_masks(names, down):
                 indeg[y] += 1
     red = tuple(red)
 
-    # deterministic linear extension (min index first)
+    # deterministic linear extension (min index first); when x is popped,
+    # each cover (x, p) proposes rank(x) + 1 for p, and two different
+    # proposals for the same p leave the structure unranked
     order = []
+    rank = [None] * n
+    rank[bottom] = 0
+    ranked = True
     heap = [bottom]
     while heap:
         x = heapq.heappop(heap)
         order.append(x)
         for p in parents[x]:
+            if rank[p] is None:
+                rank[p] = rank[x] + 1
+            elif rank[p] != rank[x] + 1:
+                ranked = False
             indeg[p] -= 1
             if indeg[p] == 0:
                 heapq.heappush(heap, p)
@@ -231,7 +240,7 @@ def _from_down_masks(names, down):
         join=None if join is None else tuple(tuple(row) for row in join),
         bottom=bottom,
         top=top,
-        rank=_try_rank(n, red, bottom, order),
+        rank=tuple(rank) if ranked else None,
         linext=tuple(order),
     )
 
@@ -257,22 +266,6 @@ def _glb_table(n, down, names, dual):
                 )
             table[x][y] = table[y][x] = m
     return table
-
-
-def _try_rank(n, covers, bottom, order):
-    children = [[] for _ in range(n)]
-    for c, p in covers:
-        children[p].append(c)
-    rank = [None] * n
-    rank[bottom] = 0
-    for x in order:
-        if x == bottom:
-            continue
-        vals = {rank[c] + 1 for c in children[x]}
-        if len(vals) != 1:
-            return None
-        rank[x] = vals.pop()
-    return tuple(rank)
 
 
 def interval(lattice, x, y):

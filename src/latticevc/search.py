@@ -35,10 +35,12 @@ def _order_key(up, down):
 
     Elements are coloured by (down-set size, up-set size), an
     isomorphism-invariant ordered partition.  The key is the
-    lexicographically minimal pairwise-order encoding over all relabelings
-    that fill the positions colour class by colour class, in ascending
-    colour order, found by branch and bound: a branch is cut as soon as its
-    encoding prefix exceeds the best one seen.
+    lexicographically minimal encoding over all relabelings that fill the
+    positions colour class by colour class, in ascending colour order,
+    found by branch and bound: a branch is cut as soon as its encoding
+    prefix exceeds the best one seen.  x < y implies |down x| < |down y|,
+    so no element placed earlier is above the one being placed: a position
+    holds one bit per earlier position, set iff that element is below it.
     """
     n = len(up)
     color = [(down[x].bit_count(), up[x].bit_count()) for x in range(n)]
@@ -65,9 +67,9 @@ def _order_key(up, down):
             if used[x]:
                 continue
             bits = 0
-            ux = up[x]
+            dx = down[x]
             for c in chosen:
-                bits = (bits << 2) | (((ux >> c) & 1) << 1) | ((up[c] >> x) & 1)
+                bits = (bits << 1) | ((dx >> c) & 1)
             cands.append((bits, x))
         cands.sort()
         for bits, x in cands:

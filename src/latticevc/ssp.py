@@ -7,7 +7,7 @@ counterexample on non-RC lattices, and exhaustive search over families with
 sound subset pruning.
 """
 
-import multiprocessing
+import concurrent.futures
 import os
 from dataclasses import dataclass
 
@@ -147,12 +147,13 @@ def _scan_branch(task):
 
 def parallel_map(fn, tasks, jobs):
     """``[fn(t) for t in tasks]`` on min(jobs, len(tasks), os.cpu_count())
-    worker processes, or in this process when that is at most 1."""
+    worker processes, or in this process when that is at most 1; a worker
+    that dies raises BrokenProcessPool instead of leaving the call hanging."""
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(t) for t in tasks]
-    with multiprocessing.Pool(processes=workers) as pool:
-        return pool.map(fn, tasks)
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
 
 
 def _brute_force(lattice, budget, jobs, collect_all):

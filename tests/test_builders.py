@@ -3,7 +3,8 @@ from itertools import combinations, product as iproduct
 import pytest
 
 import latticevc as lv
-from latticevc.builders import _subspace_elements
+from latticevc import builders
+from latticevc.builders import _subspaces
 from latticevc.errors import (
     DimensionTooSmall,
     NotAMatroid,
@@ -48,9 +49,25 @@ def test_chain():
         lv.chain(-1)
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("called after the size check should have refused")
+
+
+def test_chain_guard_before_building(monkeypatch):
+    monkeypatch.setattr(builders, "from_covers", _must_not_run)
+    with pytest.raises(TooLarge):
+        lv.chain(10**6)
+    with pytest.raises(TooLarge):
+        lv.chain(builders.MAX_ELEMENTS)
+
+
 # ---------------------------------------------------------------------------
 # subspace lattices
 # ---------------------------------------------------------------------------
+
+def vector_sets(q, n):
+    return [s.vectors() for s in _subspaces(q, n)]
+
 
 def brute_subspaces(q, n):
     """All subspaces of F_q^n as frozensets of vectors, by closure testing."""
@@ -83,14 +100,14 @@ def test_subspace_lattice_23():
 
 def test_subspace_enumeration_matches_brute_closure():
     for q, n in ((2, 2), (2, 3), (3, 2)):
-        _, vecsets, _ = _subspace_elements(q, n)
+        vecsets = vector_sets(q, n)
         assert set(vecsets) == brute_subspaces(q, n)
         assert len(vecsets) == len(set(vecsets))
 
 
 def test_subspace_meet_is_intersection():
     lat = lv.subspace_lattice(2, 2)
-    _, vecsets, _ = _subspace_elements(2, 2)
+    vecsets = vector_sets(2, 2)
     for x in range(lat.n):
         for y in range(lat.n):
             m = lat.meet[x][y]
@@ -105,8 +122,8 @@ def test_subspace_type_canonical():
     zero = lv.Subspace(2, 2, ())
     assert zero.vectors() == frozenset({(0, 0)}) and zero.name() == "0"
     # echelon bases are canonical: distinct subspaces, distinct labels
-    names, vecsets, _ = _subspace_elements(2, 3)
-    assert len(set(names)) == len(names) == len(set(vecsets))
+    names = [s.name() for s in _subspaces(2, 3)]
+    assert len(set(names)) == len(names) == len(set(vector_sets(2, 3)))
 
 
 def test_subspace_errors():
@@ -116,6 +133,31 @@ def test_subspace_errors():
         lv.subspace_lattice(1, 2)
     with pytest.raises(TooLarge):
         lv.subspace_lattice(2, 18)
+    with pytest.raises(ValueError):
+        lv.subspace_lattice(2, 0)
+    with pytest.raises(NotPrime):
+        lv.subspace_lattice(-3, 2)
+
+
+def test_subspace_guard_counts_vectors():
+    # 13^3 = 2197 vectors: over the cap although the lattice has 368
+    # elements (the labels of (1,1,12) and (1,11,2) would also collide)
+    with pytest.raises(TooLarge):
+        lv.subspace_lattice(13, 3)
+    lat = lv.subspace_lattice(11, 3)
+    assert lat.n == 1 + 133 + 133 + 1 == len(set(lat.names))
+
+
+def test_subspace_guard_before_qbinom(monkeypatch):
+    monkeypatch.setattr(builders, "qbinom", _must_not_run)
+    with pytest.raises(TooLarge):
+        lv.subspace_lattice(2, 10**6)
+
+
+def test_subspace_guard_before_primality(monkeypatch):
+    monkeypatch.setattr(builders, "_is_prime", _must_not_run)
+    with pytest.raises(TooLarge):
+        lv.subspace_lattice(10**9 + 7, 1)
 
 
 def test_subspace_rank_counts_match_qbinom():
@@ -175,6 +217,15 @@ def test_from_matroid_weisner(corpus):
     for lat in (lv.from_matroid(free_matroid(3)), corpus["m3"],
                 corpus["pg22"], corpus["pg23"], corpus["pg32"]):
         assert lv.weisner_check(lat)
+
+
+def test_from_matroid_guard_before_enumerating(monkeypatch):
+    monkeypatch.setattr(lv.MatroidSpec, "validate", _must_not_run)
+    monkeypatch.setattr(lv.MatroidSpec, "subset_rank", _must_not_run)
+    # the rank-0 matroid: every ground element is a loop
+    for g in (12, 40, 10**6):
+        with pytest.raises(TooLarge):
+            lv.from_matroid(lv.MatroidSpec(g, (frozenset(),)))
 
 
 def test_matroid_axioms_rejected():

@@ -1,9 +1,10 @@
 import io
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 import latticevc as lv
-from latticevc import cli
+from latticevc import cli, ssp
 
 
 def run_cli(*argv):
@@ -170,6 +171,22 @@ def test_format_errors_cite_line(tmp_path, capsys):
 def test_jobs_flag():
     code, out = run_cli("ssp", "--strategy", "brute", "--jobs", "2", "fig1")
     assert (code, out) == (0, "CertifiedSSP (BruteForce), families=512\n")
+
+
+def test_dead_worker_exits_2(monkeypatch, capsys):
+    def broken(fn, tasks, jobs):
+        raise BrokenProcessPool("a worker process died")
+
+    monkeypatch.setattr(ssp, "parallel_map", broken)
+    code, out = run_cli("ssp", "fig1", "--strategy", "brute", "--jobs", "2")
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err == "latticevc: BrokenProcessPool: a worker process died\n"
+
+
+def test_subspace_over_cap_exits_2(capsys):
+    assert run_cli("build", "subspace:13:3") == (2, "")
+    assert capsys.readouterr().err.startswith("latticevc: TooLarge: ")
 
 
 def test_ssp_single_family():

@@ -1,6 +1,7 @@
+import concurrent.futures
 import hashlib
-import multiprocessing
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -172,13 +173,13 @@ def test_brute_jobs_deterministic(corpus):
 
 
 def _recording_pool(monkeypatch):
-    """Replace multiprocessing.Pool by an in-process fake; returns the list
+    """Replace ProcessPoolExecutor by an in-process fake; returns the list
     of worker counts asked for.  No worker process is ever started."""
     requested = []
 
-    class FakePool:
-        def __init__(self, processes):
-            requested.append(processes)
+    class FakeExecutor:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
 
         def __enter__(self):
             return self
@@ -187,9 +188,10 @@ def _recording_pool(monkeypatch):
             return False
 
         def map(self, fn, tasks):
-            return [fn(t) for t in tasks]
+            return map(fn, tasks)
 
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        FakeExecutor)
     return requested
 
 
@@ -217,6 +219,14 @@ def test_worker_count_clamped_to_tasks(monkeypatch):
     assert requested == []
     assert ssp.parallel_map(abs, [-1, -2], 10**6) == [1, 2]
     assert requested == [2]
+
+
+def test_dead_worker_raises(monkeypatch):
+    # two tasks on two workers, each worker exits without a result; the
+    # patched CPU count keeps the serial path (which would exit pytest) out
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with pytest.raises(BrokenProcessPool):
+        ssp.parallel_map(os._exit, [0, 0], 2)
 
 
 def test_verdict_witness_sound(corpus):

@@ -69,7 +69,6 @@ from .ssp import (
     non_rc_family,
     one_minimal_check,
     product_ssp_witness,
-    violating_families,
 )
 
 __version__ = "0.1.0"

@@ -4,16 +4,15 @@ Lattice sources are either builder expressions (fig1, fig2, fig3b,
 boolean:N, chain:K, subspace:Q:N, product(SRC,SRC)) or paths to files in
 the lattice text format.  Exit status: 0 success, 1 check failed (for
 example a Violated SSP verdict), 2 usage or input error, or a worker
-process of the family search that died.
+process of the family search that died (``WorkerDied``).
 """
 
 import argparse
 import os
 import sys
-from concurrent.futures import BrokenExecutor
 
 from . import builders, search, ssp
-from .core import (atoms, emit_lattice_text, format_family,
+from .core import (MAX_ELEMENTS, atoms, emit_lattice_text, format_family,
                    parse_lattice_text, product)
 from .errors import LatticeError
 from .mobius import mobius_table, vanishing_pairs
@@ -26,6 +25,12 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 # lattice sources
 # ---------------------------------------------------------------------------
+
+# k product operators over factors of 2 or more elements give at least
+# 2^(k+1) elements, so past this many only 1-element factors pass the
+# element cap; refusing them keeps the recursion shallow
+_MAX_PRODUCTS = MAX_ELEMENTS.bit_length() - 2
+
 
 def _split_product_args(body):
     depth = 0
@@ -40,7 +45,8 @@ def _split_product_args(body):
 
 
 def load_source(spec):
-    """Resolve a builder expression first, then fall back to a file path."""
+    """Resolve a builder expression first, then fall back to a file path;
+    more than ``_MAX_PRODUCTS`` product operators is a usage error."""
     spec = spec.strip()
     if spec == "fig1":
         return builders.fig1()
@@ -49,6 +55,8 @@ def load_source(spec):
     if spec == "fig3b":
         return builders.fig3b()
     if spec.startswith("product(") and spec.endswith(")"):
+        if spec.count("product(") > _MAX_PRODUCTS:
+            raise UsageError(f"more than {_MAX_PRODUCTS} product operators")
         left, right = _split_product_args(spec[len("product("):-1])
         return product(load_source(left), load_source(right))
     for prefix, build, count in (("boolean:", builders.boolean, 1),
@@ -339,12 +347,14 @@ def _build_parser():
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def run(argv, out=None):
     """Execute one command; returns the exit status."""
     out = out or sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if not exc.code else 2
     try:
@@ -352,7 +362,7 @@ def run(argv, out=None):
     except UsageError as exc:
         print(f"latticevc: {exc}", file=sys.stderr)
         return 2
-    except (LatticeError, BrokenExecutor) as exc:
+    except LatticeError as exc:
         print(f"latticevc: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -55,10 +55,6 @@ class ForbiddenFamily(LatticeError):
 
 # -- SSP checks -----------------------------------------------------------------
 
-class BudgetExceeded(LatticeError):
-    """Exhaustive enumeration would exceed the family budget."""
-
-
 class NotMaximalAntichain(LatticeError):
     """The given element set is not a maximal antichain."""
 
@@ -81,6 +77,10 @@ class NotRC(LatticeError):
 
 class CheckFailed(LatticeError):
     """An internally asserted conclusion failed; indicates a bug or a bad precondition."""
+
+
+class WorkerDied(LatticeError):
+    """A worker process of the family search died; names the executor's error."""
 
 
 # -- builders -------------------------------------------------------------------

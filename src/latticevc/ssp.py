@@ -7,13 +7,11 @@ counterexample on non-RC lattices, and exhaustive search over families with
 sound subset pruning.
 """
 
-import concurrent.futures
 import os
 from dataclasses import dataclass
 
 from .core import _bits, product
 from .errors import (
-    BudgetExceeded,
     CheckFailed,
     FactorNotSSP,
     NotALattice,
@@ -21,6 +19,7 @@ from .errors import (
     NotOneMinimal,
     NotRC,
     PreconditionViolated,
+    WorkerDied,
 )
 from .mobius import mobius_table, vanishing_pairs
 from .shattering import realized_meets, shattered_set, shatters
@@ -85,32 +84,31 @@ def non_rc_family(lattice, witness):
 # (|Str(F)| = 0 = |F|) and is counted without a branch.  Shattering data is
 # maintained incrementally (adding a member only grows the realized meets
 # at every y), and a subtree is skipped once |Str(F)| >= |F| + remaining
-# capacity, which certifies every superset in it.  The budget is
-# pre-allocated to branches by worst-case subtree size so that results do
-# not depend on the worker count.
+# capacity, which certifies every superset in it.  The search stops at the
+# first violating family.  The budget is pre-allocated to branches by
+# worst-case subtree size so that results do not depend on the worker count.
 # ---------------------------------------------------------------------------
 
 def _scan_branch(task):
     """DFS over the families whose least member is `first`, within `quota`
     visited families.
 
-    ``task`` is (lattice, first, quota, collect_all).  Returns (complete,
-    violations, covered): `complete` is False when the search stopped early,
-    `violations` lists the violating families in DFS order (only the first
-    unless collecting), `covered` counts the families examined or certified
-    by pruning.
+    ``task`` is (lattice, first, quota).  Returns (complete, witness,
+    covered): `complete` is False when the search stopped early, `witness`
+    is the first violating family in DFS order or None, and `covered`
+    counts the families examined or certified by pruning.
     """
-    lattice, first, quota, collect_all = task
+    lattice, first, quota = task
     n = lattice.n
     down = lattice.down
     add_bits = [[1 << m for m in row] for row in lattice.meet]
     members = []
-    violations = []
+    witness = None
     visited = covered = 0
 
     def visit(j, str_cnt, unsat):
         # add member j; False stops the whole branch, so members is not popped
-        nonlocal visited, covered
+        nonlocal visited, covered, witness
         if visited >= quota:
             return False
         visited += 1
@@ -126,9 +124,8 @@ def _scan_branch(task):
         members.append(j)
         size = len(members)
         if str_cnt < size:
-            violations.append(frozenset(members))
-            if not collect_all:
-                return False
+            witness = frozenset(members)
+            return False
         rem = n - 1 - j
         if str_cnt >= size + rem:
             # every superset G in this subtree has |G| <= size + rem
@@ -142,53 +139,56 @@ def _scan_branch(task):
         return True
 
     complete = visit(first, 0, [(y, 0) for y in range(n)])
-    return complete, violations, covered
+    return complete, witness, covered
 
 
 def parallel_map(fn, tasks, jobs):
     """``[fn(t) for t in tasks]`` on min(jobs, len(tasks), os.cpu_count())
-    worker processes, or in this process when that is at most 1; a worker
-    that dies raises BrokenProcessPool instead of leaving the call hanging."""
+    worker processes, or in this process (without importing
+    concurrent.futures) when that is at most 1; a worker that dies raises
+    WorkerDied instead of leaving the call hanging."""
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(t) for t in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+    import concurrent.futures
+    try:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks))
+    except concurrent.futures.BrokenExecutor as exc:
+        raise WorkerDied(f"{type(exc).__name__}: {exc}") from exc
 
 
-def _brute_force(lattice, budget, jobs, collect_all):
-    """Run the branches under pre-allocated quotas and merge them in order.
-
-    Returns (outcome, violations, covered); a Violated outcome without
-    collect_all carries just its witness.
-    """
+def _brute_force(lattice, budget, jobs):
+    """The family search as a verdict: the empty family is the first unit
+    of the budget, the rest goes to the branches in order, each capped at
+    its subtree size, and the branches merge in order, so the verdict does
+    not depend on ``jobs``.  The first witness is re-verified."""
     n = lattice.n
     if budget < 1:
-        return INCONCLUSIVE, [], 0
-    rest = budget - 1  # the empty family
+        return SspVerdict(INCONCLUSIVE, None, None, 0)
+    rest = budget - 1
     tasks = []
     for first in range(n):
         quota = min(1 << (n - 1 - first), rest)
         if quota == 0:
             break
         rest -= quota
-        tasks.append((lattice, first, quota, collect_all))
+        tasks.append((lattice, first, quota))
 
     covered = 1
-    violations = []
-    for complete, found, branch_covered in parallel_map(_scan_branch, tasks,
-                                                        jobs):
+    complete = len(tasks) == n
+    for done, witness, branch_covered in parallel_map(_scan_branch, tasks,
+                                                      jobs):
         covered += branch_covered
-        if found and not collect_all:
-            return VIOLATED, found, covered
-        if not complete:
-            return INCONCLUSIVE, violations, covered
-        violations += found
-    if len(tasks) < n:
-        return INCONCLUSIVE, violations, covered
+        if witness is not None:
+            _verify_witness(lattice, witness)
+            return SspVerdict(VIOLATED, None, witness, covered)
+        complete = complete and done
+    if not complete:
+        return SspVerdict(INCONCLUSIVE, None, None, covered)
     if covered != 1 << n:
         raise CheckFailed(f"search covered {covered} of 2^{n} families")
-    return CERTIFIED, violations, covered
+    return SspVerdict(CERTIFIED, CERT_BRUTE, None, covered)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +224,9 @@ def is_ssp(lattice, strategy="auto", budget=DEFAULT_BUDGET, jobs=1):
     """Decide the SSP property.
 
     strategy "certificate" applies the Mobius-function certificates only;
-    "brute" enumerates families exhaustively within the budget; "auto" gives
-    the non-RC counterexample (kind ``CERT_NON_RC``), else tries the
+    "brute" searches the families within the budget and stops at the first
+    violator in DFS order, the lexicographic order of sorted members; "auto"
+    gives the non-RC counterexample (kind ``CERT_NON_RC``), else tries the
     certificates, then brute force (a non-RC lattice has a 3-element
     interval [x, y] with mu(x, y) = 0, so no certificate applies to it).
     Resource exhaustion yields Inconclusive, never an exception.  Every
@@ -242,28 +243,7 @@ def is_ssp(lattice, strategy="auto", budget=DEFAULT_BUDGET, jobs=1):
         verdict = _certificate_verdict(lattice, witness is None)
         if strategy == "certificate" or verdict.outcome == CERTIFIED:
             return verdict
-    outcome, violations, covered = _brute_force(lattice, budget, jobs, False)
-    if outcome == VIOLATED:
-        witness = violations[0]
-        _verify_witness(lattice, witness)
-        return SspVerdict(VIOLATED, None, witness, covered)
-    if outcome == CERTIFIED:
-        return SspVerdict(CERTIFIED, CERT_BRUTE, None, covered)
-    return SspVerdict(INCONCLUSIVE, None, None, covered)
-
-
-def violating_families(lattice, budget=DEFAULT_BUDGET, jobs=1):
-    """Every family with |Str(F)| < |F|, sorted by (size, subset code).
-
-    Exhaustive; raises BudgetExceeded when 2^n would not fit the budget.
-    """
-    if (1 << lattice.n) > budget:
-        raise BudgetExceeded(
-            f"2^{lattice.n} families exceed the budget of {budget}")
-    outcome, violations, _ = _brute_force(lattice, budget, jobs, True)
-    if outcome != CERTIFIED:
-        raise CheckFailed("exhaustive search ended before covering every family")
-    return sorted(violations, key=lambda f: (len(f), sum(1 << i for i in f)))
+    return _brute_force(lattice, budget, jobs)
 
 
 # ---------------------------------------------------------------------------

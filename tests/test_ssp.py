@@ -248,17 +248,53 @@ def test_never_certified_on_non_rc(corpus):
             assert verdict.outcome != ssp.CERTIFIED, (name, strategy)
 
 
-def test_brute_witness_is_least_violator(corpus):
+# ---------------------------------------------------------------------------
+# violating families: the first-witness search against the unpruned oracle
+# ---------------------------------------------------------------------------
+
+def _least_violator(lattice):
     # the DFS visits families in the lexicographic order of their sorted
     # members, so a sound first-witness search returns the oracle's least
     # violator in that order, and no witness when the oracle finds none
+    return min(naive_violating_families(lattice), key=sorted, default=None)
+
+
+def test_violating_families_fig3b():
+    lat = lv.fig3b()
+    full = frozenset(range(lat.n))
+    expected = [full - {lat.index("4")}, full - {lat.index("5")}]
+    assert naive_violating_families(lat) == sorted(
+        expected, key=lambda f: (len(f), sum(1 << i for i in f)))
+    verdict = lv.is_ssp(lat, "brute")
+    assert verdict.outcome == ssp.VIOLATED
+    assert verdict.witness == min(expected, key=sorted)
+
+
+def test_violating_families_boolean_empty():
+    b3 = lv.boolean(3)
+    assert naive_violating_families(b3) == []
+    verdict = lv.is_ssp(b3, "brute")
+    assert verdict.outcome == ssp.CERTIFIED
+    assert verdict.witness is None
+
+
+def test_violating_families_path():
+    path = lv.chain(2)
+    assert frozenset({1, 2}) in naive_violating_families(path)
+    verdict = lv.is_ssp(path, "brute")
+    assert verdict.outcome == ssp.VIOLATED
+    assert verdict.witness == _least_violator(path)
+
+
+def test_pruned_matches_naive(corpus):
+    # the pruned first-witness search and the unpruned oracle agree on every
+    # lattice small enough to enumerate
     lattices = [lat for lat in corpus.values() if lat.n <= 12]
     for n in range(1, 8):
         lattices += lv.enumerate_lattices(n)
     for lat in lattices:
-        least = min(naive_violating_families(lat), key=sorted, default=None)
         witness = lv.is_ssp(lat, "brute").witness
-        assert witness == least, lv.emit_lattice_text(lat)
+        assert witness == _least_violator(lat), lv.emit_lattice_text(lat)
 
 
 def test_rc_iff_brute_ssp_small():

@@ -1,4 +1,6 @@
+import hashlib
 import io
+import random
 
 import pytest
 
@@ -362,3 +364,39 @@ def test_mask_constructor_matches_from_covers():
             assert getattr(lat, field) == getattr(again, field), (lat, field)
         checked += 1
     assert checked > 500
+
+
+# sha256 of all eleven fields of every structure below, each built twice: as
+# it comes and by from_covers from its strict order relation, shuffled, with
+# every pair listed twice
+FIELDS_SHA256 = (
+    "51b82ae391e974f1f6eeb1ee7caf991b592d156a735c85e34c9788b88690c9d4")
+
+
+def _pinned_structures():
+    """Every lattice with n <= 7, the corpus, the intervals [bottom, y] of
+    the corpus, and the products of corpus pairs up to 130 elements."""
+    for n in range(1, 8):
+        yield from lv.enumerate_lattices(n)
+    corpus = list(build_corpus().values())
+    for lat in corpus:
+        yield lat
+        for y in _bits(lat.up[lat.bottom]):
+            yield lv.interval(lat, lat.bottom, y)[0]
+    for a in corpus:
+        for b in corpus:
+            if a.n * b.n <= 130:
+                yield lv.product(a, b)
+
+
+def test_lattice_fields_pinned():
+    rng = random.Random(7)
+    digest = hashlib.sha256()
+    for lat in _pinned_structures():
+        pairs = [(x, y) for y in range(lat.n) for x in _bits(lat.down[y])
+                 if x != y] * 2
+        rng.shuffle(pairs)
+        for built in (lat, lv.from_covers(lat.n, lat.names, pairs)):
+            digest.update(repr(tuple(getattr(built, field)
+                                     for field in _FIELDS)).encode())
+    assert digest.hexdigest() == FIELDS_SHA256

@@ -108,11 +108,13 @@ class Lattice:
 
 
 def from_covers(n, names, covers):
-    """Build a validated structure from a Hasse diagram.
+    """Build a validated structure from a Hasse diagram given from outside.
 
     ``covers`` is any iterable of (child, parent) index pairs; redundant
-    (transitively implied) pairs are tolerated and normalized away.  Pass
-    ``names=None`` to label elements by their indices.
+    (transitively implied or repeated) pairs are tolerated and normalized
+    away.  Pass ``names=None`` to label elements by their indices.  The
+    pairs are closed into down-set masks along :func:`_linear_extension`,
+    which also finds a cycle, and handed to :func:`_from_down_masks`.
 
     Raises NotAPoset on a cycle, NoBottom when the minimal element is not
     unique, NotMeetSemilattice when some pair has two maximal common lower
@@ -135,25 +137,14 @@ def from_covers(n, names, covers):
         raise ValueError("element labels must be unique")
 
     parents = [[] for _ in range(n)]
-    indeg = [0] * n
-    edge_set = set()
     for c, p in covers:
         if not (0 <= c < n and 0 <= p < n):
             raise ValueError(f"cover pair ({c}, {p}) out of range")
         if c == p:
             raise NotAPoset(f"self-loop at element {names[c]!r}")
-        if (c, p) in edge_set:
-            continue
-        edge_set.add((c, p))
         parents[c].append(p)
-        indeg[p] += 1
 
-    order = [i for i in range(n) if indeg[i] == 0]
-    for x in order:  # Kahn's algorithm; the list grows while it is walked
-        for p in parents[x]:
-            indeg[p] -= 1
-            if indeg[p] == 0:
-                order.append(p)
+    order = _linear_extension(parents)
     if len(order) < n:
         raise NotAPoset("cover graph contains a cycle")
 
@@ -162,6 +153,31 @@ def from_covers(n, names, covers):
         for p in parents[x]:
             down[p] |= down[x]
     return _from_down_masks(names, down)
+
+
+def _linear_extension(parents):
+    """The smallest-index-first topological order of the graph with an edge
+    x -> p for each p in parents[x] (Kahn's algorithm on a heap).  A repeated
+    edge changes nothing; on a cycle the order is shorter than the graph.
+
+    On any graph whose transitive closure is a partial order, the order is
+    the same: an element becomes available exactly when its whole strict
+    down-set has been emitted.
+    """
+    indeg = [0] * len(parents)
+    for ps in parents:
+        for p in ps:
+            indeg[p] += 1
+    heap = [x for x, d in enumerate(indeg) if d == 0]  # ascending: a heap
+    order = []
+    while heap:
+        x = heapq.heappop(heap)
+        order.append(x)
+        for p in parents[x]:
+            indeg[p] -= 1
+            if indeg[p] == 0:
+                heapq.heappush(heap, p)
+    return order
 
 
 def _transpose(masks):
@@ -178,7 +194,11 @@ def _from_down_masks(names, down):
 
     Derives the up-sets, checks for a unique bottom and for meets (and
     joins when a top exists), and computes the covers (the transitive
-    reduction), the smallest-index-first linear extension and the rank.
+    reduction), the linear extension (:func:`_linear_extension` of the
+    covers) and the rank, in one pass over that extension.  The callers
+    inside the package (intervals, products, the enumerator) build their
+    masks from validated structures; outside input goes through
+    :func:`from_covers`.
     """
     n = len(names)
     up = _transpose(down)
@@ -192,34 +212,25 @@ def _from_down_masks(names, down):
     # transitive reduction
     red = []
     parents = [[] for _ in range(n)]
-    indeg = [0] * n
     for x in range(n):
         for y in _bits(up[x] & ~(1 << x)):
             if up[x] & down[y] & ~(1 << x) & ~(1 << y) == 0:
                 red.append((x, y))
                 parents[x].append(y)
-                indeg[y] += 1
     red = tuple(red)
 
-    # deterministic linear extension (min index first); when x is popped,
     # each cover (x, p) proposes rank(x) + 1 for p, and two different
     # proposals for the same p leave the structure unranked
-    order = []
+    order = _linear_extension(parents)
     rank = [None] * n
     rank[bottom] = 0
     ranked = True
-    heap = [bottom]
-    while heap:
-        x = heapq.heappop(heap)
-        order.append(x)
+    for x in order:
         for p in parents[x]:
             if rank[p] is None:
                 rank[p] = rank[x] + 1
             elif rank[p] != rank[x] + 1:
                 ranked = False
-            indeg[p] -= 1
-            if indeg[p] == 0:
-                heapq.heappush(heap, p)
 
     meet = _glb_table(n, down, names, dual=False)
 
@@ -292,21 +303,21 @@ def interval(lattice, x, y):
 def product(lattice, other):
     """Direct product with componentwise order.
 
-    Element (i, j) gets index i * other.n + j and label "(a|b)".  Meets,
-    joins and ranks are componentwise (rank adds) whenever both factors
-    have them; this falls out of the cover construction and revalidation.
+    Element (i, j) gets index i * other.n + j and label "(a|b)".  Its
+    down-set is the OR over a <= i of ``other.down[j] << (a * other.n)``,
+    built from the factors' masks and handed to :func:`_from_down_masks`.
+    Meets, joins and ranks are componentwise (rank adds) whenever both
+    factors have them.
     """
     _check_size(lattice.n * other.n, "the product")
     m = other.n
-    names = [f"({a}|{b})" for a in lattice.names for b in other.names]
-    covs = []
-    for c, p in lattice.covers:
-        for j in range(m):
-            covs.append((c * m + j, p * m + j))
-    for i in range(lattice.n):
-        for c, p in other.covers:
-            covs.append((i * m + c, i * m + p))
-    return from_covers(lattice.n * m, names, covs)
+    names = tuple(f"({a}|{b})" for a in lattice.names for b in other.names)
+    if len(set(names)) != len(names):
+        raise ValueError("element labels must be unique")
+    # the shifted copies of other.down[j] do not overlap, so their OR is
+    # other.down[j] times the sum of 1 << (a * m) over a <= i
+    spread = [sum(1 << (a * m) for a in _bits(mask)) for mask in lattice.down]
+    return _from_down_masks(names, [d * s for s in spread for d in other.down])
 
 
 def atoms(lattice):

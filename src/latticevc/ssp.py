@@ -143,13 +143,17 @@ def _scan_branch(task):
 
 
 def parallel_map(fn, tasks, jobs):
-    """``[fn(t) for t in tasks]`` on min(jobs, len(tasks), os.cpu_count())
-    worker processes, or in this process (without importing
-    concurrent.futures) when that is at most 1; a worker that dies raises
-    WorkerDied instead of leaving the call hanging."""
+    """The results of ``fn`` on ``tasks``, in order.
+
+    On min(jobs, len(tasks), os.cpu_count()) worker processes this is a
+    list, and a worker that dies raises WorkerDied instead of leaving the
+    call hanging.  When that count is at most 1 it is the lazy
+    ``map(fn, tasks)`` in this process (without importing
+    concurrent.futures), so a caller that stops reading runs no later task.
+    """
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
-        return [fn(t) for t in tasks]
+        return map(fn, tasks)
     import concurrent.futures
     try:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:

@@ -213,11 +213,28 @@ def test_worker_count_clamped_to_tasks(monkeypatch):
     # family search, which no lattice of up to 10 elements needs
     assert lv.conjecture_scan(4, jobs=10**6) == serial
     assert requested == []
-    assert ssp.parallel_map(abs, [], 10**6) == []
-    assert ssp.parallel_map(abs, [-1, -2], 0) == [1, 2]
+    assert list(ssp.parallel_map(abs, [], 10**6)) == []
+    assert list(ssp.parallel_map(abs, [-1, -2], 0)) == [1, 2]
     assert requested == []
-    assert ssp.parallel_map(abs, [-1, -2], 10**6) == [1, 2]
+    assert list(ssp.parallel_map(abs, [-1, -2], 10**6)) == [1, 2]
     assert requested == [2]
+
+
+def test_in_process_search_stops_at_first_witness(monkeypatch):
+    # the first branch of chain:1 x fig3b holds a witness; in process, no
+    # later branch runs
+    lat = lv.product(lv.chain(1), lv.fig3b())
+    calls = []
+    scan = ssp._scan_branch
+
+    def counting(task):
+        calls.append(task[1])
+        return scan(task)
+
+    monkeypatch.setattr(ssp, "_scan_branch", counting)
+    verdict = lv.is_ssp(lat, "brute", jobs=1)
+    assert (verdict.outcome, verdict.families_examined) == (ssp.VIOLATED, 54)
+    assert calls == [0]
 
 
 def test_dead_worker_raises(monkeypatch):

@@ -14,8 +14,6 @@ from latticevc.errors import (
 )
 from latticevc.search import canonical_key
 
-import importlib.resources as resources
-
 
 def test_boolean_degenerate():
     b0 = lv.boolean(0)
@@ -259,16 +257,6 @@ def test_figures_validate_and_classify():
     assert f1.rank is None
     assert [lv.count_by_rank(f2, d) for d in range(5)] == [1, 6, 15, 10, 1]
     assert [lv.count_by_rank(f3, d) for d in range(4)] == [1, 5, 4, 1]
-
-
-def test_figure_files_match_builders():
-    for name, build in (("fig1", lv.fig1), ("fig2", lv.fig2),
-                        ("fig3b", lv.fig3b)):
-        text = (resources.files("latticevc") / "data" / f"{name}.lat").read_text()
-        lat = lv.parse_lattice_text(text)
-        built = build()
-        assert lat.names == built.names
-        assert lat.covers == built.covers
 
 
 def test_boolean_equals_free_matroid_and_b1_powers():

@@ -153,7 +153,8 @@ def test_usage_errors():
 
 @pytest.mark.parametrize("source", [
     "chain:-1", "subspace:2:0", "product(chain:1,chain:-2)", "boolean:3:7",
-    "chain:1:", "<directory>", "<non-utf8 file>"])
+    "chain:1:", "product(chain:1)", "boolean:x", "<directory>",
+    "<non-utf8 file>"])
 def test_bad_source_is_a_usage_error(source, tmp_path, capsys):
     latin1 = tmp_path / "latin1.lat"
     latin1.write_bytes(b"elem \xe9\n")
@@ -162,6 +163,18 @@ def test_bad_source_is_a_usage_error(source, tmp_path, capsys):
     assert run_cli("build", source) == (2, "")
     err = capsys.readouterr().err
     assert err.startswith("latticevc: ") and err.count("\n") == 1
+
+
+def test_refused_arguments_exit_2(tmp_path, capsys):
+    no_top = tmp_path / "vee.lat"
+    no_top.write_text("elem b\nelem x\nelem y\ncover b x\ncover b y\n")
+    for argv, message in (
+            (("mobius", str(no_top), "--pair", "bottom", "top"),
+             "latticevc: this structure has no top element\n"),
+            (("ssp", "fig1", "--jobs", "abc"),
+             "invalid int value: 'abc'\n")):
+        assert run_cli(*argv) == (2, "")
+        assert capsys.readouterr().err.endswith(message)
 
 
 def test_format_errors_cite_line(tmp_path, capsys):

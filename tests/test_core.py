@@ -56,6 +56,23 @@ def test_fig1_is_unranked_with_mixed_chain_lengths():
     assert lengths == {2, 3}
 
 
+def test_from_covers_refuses_bad_input():
+    with pytest.raises(NoBottom):
+        lv.from_covers(0, None, [])
+    with pytest.raises(ValueError, match="^expected 2 names, got 1$"):
+        lv.from_covers(2, ["a"], [(0, 1)])
+    for pair in ((0, 2), (-1, 0)):
+        with pytest.raises(ValueError, match=r"^cover pair \(.*\) out of range$"):
+            lv.from_covers(2, None, [pair])
+
+
+def test_from_covers_repeated_pair():
+    twice = lv.from_covers(2, None, [(0, 1), (0, 1)])
+    once = lv.from_covers(2, None, [(0, 1)])
+    for field in _FIELDS:
+        assert getattr(twice, field) == getattr(once, field), field
+
+
 def test_from_covers_rejects_cycle():
     with pytest.raises(NotAPoset):
         lv.from_covers(2, None, [(0, 1), (1, 0)])
@@ -168,6 +185,14 @@ def test_element_cap_refuses_before_construction(monkeypatch):
     assert built == [64, 64]  # the two factors, never their product
 
 
+def test_product_refuses_colliding_labels():
+    # ("0", "1|2") and ("0|1", "2") would both be labelled "(0|1|2)"
+    a = lv.parse_lattice_text("elem 0\nelem 0|1\ncover 0 0|1\n")
+    b = lv.parse_lattice_text("elem 1|2\nelem 2\ncover 1|2 2\n")
+    with pytest.raises(ValueError, match="^element labels must be unique$"):
+        lv.product(a, b)
+
+
 def test_product_componentwise_tables():
     a, b = lv.chain(2), lv.boolean(2)
     p = lv.product(a, b)
@@ -233,6 +258,8 @@ def test_count_by_rank():
     assert lv.count_by_rank(lv.subspace_lattice(2, 3), 1) == 7
     with pytest.raises(NotRanked):
         lv.count_by_rank(lv.fig1(), 1)
+    with pytest.raises(NotRanked):
+        lv.count_up_to(lv.fig1(), 1)
 
 
 def test_meet_is_greatest_lower_bound(corpus):
@@ -332,6 +359,18 @@ def test_parse_errors_cite_line_numbers():
     with pytest.raises(LatticeFormatError) as err:
         lv.parse_lattice_text("# nothing\n")
     assert err.value.lineno == 1
+
+
+def test_parse_refuses_malformed_directives():
+    for text, lineno, message in (
+            ("elem\n", 1, "expected: elem <label>"),
+            ("elem a,b\n", 1, "bad element label 'a,b'"),
+            ("elem a\nelem b\ncover a\n", 3,
+             "expected: cover <child-label> <parent-label>")):
+        with pytest.raises(LatticeFormatError) as err:
+            lv.parse_lattice_text(text)
+        assert err.value.lineno == lineno
+        assert str(err.value).startswith(f"line {lineno}: {message}")
 
 
 def test_corpus_is_diverse():

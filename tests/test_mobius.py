@@ -120,6 +120,23 @@ def test_inversion_rationals(corpus, rng):
         assert lv.check_inversion(lat, g)
 
 
+def test_inversion_detects_tampered_table():
+    # g = [top] sums to 1 over every up-set, so the up-set recovery at x
+    # reads every mu(x, y) once and sees any single wrong entry
+    b3 = lv.boolean(3)
+    g = [0] * b3.n
+    g[b3.top] = 1
+    table = lv.mobius_table(b3)
+    assert lv.check_inversion(b3, g, table)
+    rows = [[0] * b3.n for _ in range(b3.n)]
+    for x, y, mu in table.pairs():
+        rows[x][y] = mu
+    for x, y, mu in table.pairs():
+        rows[x][y] = mu + 1
+        assert not lv.check_inversion(b3, g, lv.MobiusTable(b3, rows)), (x, y)
+        rows[x][y] = mu
+
+
 def test_weisner_examples():
     assert lv.weisner_check(lv.boolean(4))
     assert lv.weisner_check(lv.subspace_lattice(2, 3))

@@ -214,6 +214,16 @@ def test_elimination_inclusion_exclusion():
     assert cert.verify(b2, fam)
 
 
+def test_elimination_cert_detects_tampered_coefficient():
+    b2 = lv.boolean(2)
+    fam = frozenset({b2.index("1"), b2.index("2"), b2.index("12")})
+    cert = lv.elimination(b2, fam, b2.index("12"))
+    for y, gamma in cert.coeffs.items():
+        tampered = lv.EliminationCert(cert.z, cert.witness_x,
+                                      {**cert.coeffs, y: gamma + 1})
+        assert not tampered.verify(b2, fam), y
+
+
 def test_elimination_vanishing_restriction():
     b2 = lv.boolean(2)
     fam = frozenset({b2.index("0"), b2.index("1"), b2.index("2")})

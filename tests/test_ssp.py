@@ -124,6 +124,11 @@ def test_path_certificate_inconclusive():
     assert verdict.outcome == ssp.INCONCLUSIVE
 
 
+def test_unknown_strategy_rejected():
+    with pytest.raises(ValueError, match="^unknown strategy 'bogus'$"):
+        lv.is_ssp(lv.boolean(1), "bogus")
+
+
 def test_brute_budget_semantics():
     f1 = lv.fig1()
     verdict = lv.is_ssp(f1, "brute", budget=0)
@@ -362,6 +367,8 @@ def test_antichain_subspace_lines():
 
 def test_antichain_errors():
     b2 = lv.boolean(2)
+    with pytest.raises(NotMaximalAntichain, match="empty antichain"):
+        lv.antichain_check(b2, frozenset(), frozenset())
     with pytest.raises(NotMaximalAntichain):
         lv.antichain_check(b2, frozenset({b2.index("1"), b2.index("12")}),
                            frozenset())

@@ -113,8 +113,7 @@ def from_covers(n, names, covers):
     ``covers`` is any iterable of (child, parent) index pairs; redundant
     (transitively implied or repeated) pairs are tolerated and normalized
     away.  Pass ``names=None`` to label elements by their indices.  The
-    pairs are closed into down-set masks along :func:`_linear_extension`,
-    which also finds a cycle, and handed to :func:`_from_down_masks`.
+    pairs are closed along :func:`_linear_extension`, which finds a cycle.
 
     Raises NotAPoset on a cycle, NoBottom when the minimal element is not
     unique, NotMeetSemilattice when some pair has two maximal common lower
@@ -156,14 +155,10 @@ def from_covers(n, names, covers):
 
 
 def _linear_extension(parents):
-    """The smallest-index-first topological order of the graph with an edge
-    x -> p for each p in parents[x] (Kahn's algorithm on a heap).  A repeated
-    edge changes nothing; on a cycle the order is shorter than the graph.
-
-    On any graph whose transitive closure is a partial order, the order is
-    the same: an element becomes available exactly when its whole strict
-    down-set has been emitted.
-    """
+    """Smallest-index-first topological order of the edges x -> parents[x]
+    (heap Kahn); shorter than the graph on a cycle.  It is the same for
+    every graph with the same transitive closure: an element is ready
+    exactly when its whole strict down-set has been emitted."""
     indeg = [0] * len(parents)
     for ps in parents:
         for p in ps:
@@ -195,9 +190,7 @@ def _from_down_masks(names, down):
     Derives the up-sets, checks for a unique bottom and for meets (and
     joins when a top exists), and computes the covers (the transitive
     reduction), the linear extension (:func:`_linear_extension` of the
-    covers) and the rank, in one pass over that extension.  The callers
-    inside the package (intervals, products, the enumerator) build their
-    masks from validated structures; outside input goes through
+    covers) and the rank in one loop over it.  Outside input goes through
     :func:`from_covers`.
     """
     n = len(names)
@@ -303,19 +296,17 @@ def interval(lattice, x, y):
 def product(lattice, other):
     """Direct product with componentwise order.
 
-    Element (i, j) gets index i * other.n + j and label "(a|b)".  Its
-    down-set is the OR over a <= i of ``other.down[j] << (a * other.n)``,
-    built from the factors' masks and handed to :func:`_from_down_masks`.
-    Meets, joins and ranks are componentwise (rank adds) whenever both
-    factors have them.
+    Element (i, j) gets index i * other.n + j and label "(a|b)"; its
+    down-set, the OR over a <= i of ``other.down[j] << (a * other.n)``, goes
+    to :func:`_from_down_masks`.  Meets, joins and ranks are componentwise
+    (rank adds) whenever both factors have them.
     """
     _check_size(lattice.n * other.n, "the product")
     m = other.n
     names = tuple(f"({a}|{b})" for a in lattice.names for b in other.names)
     if len(set(names)) != len(names):
         raise ValueError("element labels must be unique")
-    # the shifted copies of other.down[j] do not overlap, so their OR is
-    # other.down[j] times the sum of 1 << (a * m) over a <= i
+    # the shifted copies do not overlap, so their OR is a product
     spread = [sum(1 << (a * m) for a in _bits(mask)) for mask in lattice.down]
     return _from_down_masks(names, [d * s for s in spread for d in other.down])
 

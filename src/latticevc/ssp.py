@@ -143,14 +143,10 @@ def _scan_branch(task):
 
 
 def parallel_map(fn, tasks, jobs):
-    """The results of ``fn`` on ``tasks``, in order.
-
-    On min(jobs, len(tasks), os.cpu_count()) worker processes this is a
-    list, and a worker that dies raises WorkerDied instead of leaving the
-    call hanging.  When that count is at most 1 it is the lazy
-    ``map(fn, tasks)`` in this process (without importing
-    concurrent.futures), so a caller that stops reading runs no later task.
-    """
+    """``fn`` on ``tasks`` in order: a list from min(jobs, len(tasks),
+    os.cpu_count()) worker processes, where a dead worker raises WorkerDied,
+    or, when that is at most 1, the lazy ``map(fn, tasks)`` in this process
+    (no concurrent.futures import), which runs no task that is not read."""
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return map(fn, tasks)

@@ -18,8 +18,7 @@ class.
 
 from dataclasses import dataclass
 
-from .core import (_bits, _from_down_masks, _transpose, emit_lattice_text,
-                   format_family)
+from .core import _bits, _from_down_masks, emit_lattice_text, format_family
 from .errors import TooLarge
 from .ssp import CERT_NON_RC, CERTIFIED, DEFAULT_BUDGET, INCONCLUSIVE, is_ssp
 
@@ -41,14 +40,38 @@ def _order_key(up, down):
     prefix exceeds the best one seen.  x < y implies |down x| < |down y|,
     so no element placed earlier is above the one being placed: a position
     holds one bit per earlier position, set iff that element is below it.
+
+    Twins, elements with the same strict down-set and the same strict
+    up-set, share a colour, and swapping two of them is an automorphism
+    that fixes every other element.  So a node tries one unused member of
+    each twin class, and when every colour class is one twin class, every
+    relabeling has the same encoding, computed once without a search.
     """
     n = len(up)
-    color = [(down[x].bit_count(), up[x].bit_count()) for x in range(n)]
-    slot_class = []
-    for c in sorted(set(color)):
-        cls = [x for x in range(n) if color[x] == c]
-        slot_class += [cls] * len(cls)
+    by_color = {}
+    first = {}
+    twin = []  # the first member of each element's twin class
+    for x in range(n):
+        dx, ux = down[x], up[x]
+        by_color.setdefault((dx.bit_count(), ux.bit_count()), []).append(x)
+        twin.append(first.setdefault((dx ^ (1 << x), ux ^ (1 << x)), x))
+    classes = [by_color[c] for c in sorted(by_color)]
 
+    # twins share a colour, so equal counts mean equal partitions
+    if len(first) == len(classes):
+        enc = []
+        chosen = []
+        for cls in classes:
+            for x in cls:
+                bits = 0
+                dx = down[x]
+                for c in chosen:
+                    bits = (bits << 1) | ((dx >> c) & 1)
+                enc.append(bits)
+                chosen.append(x)
+        return (n, tuple(enc))
+
+    slot_class = [cls for cls in classes for _ in cls]
     chosen = []
     enc = []
     used = [False] * n
@@ -63,9 +86,11 @@ def _order_key(up, down):
                 best[0] = tuple(enc)
             return
         cands = []
+        tried = set()
         for x in slot_class[pos]:
-            if used[x]:
+            if used[x] or twin[x] in tried:
                 continue
+            tried.add(twin[x])
             bits = 0
             dx = down[x]
             for c in chosen:
@@ -115,51 +140,76 @@ def is_isomorphic(a, b):
 # enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_lattices(n):
-    """Every lattice on n elements, exactly once up to isomorphism.
+def _lattice_masks(n_max):
+    """Down-masks of every lattice on 1..n_max elements, once per class.
 
-    Each prefix of 1 <= i < n elements is keyed once, on entry; a prefix
-    isomorphic to an earlier one is not extended.  This emits the same
-    sequence as keying every leaf: candidates are down-closed, contain the
-    bottom and keep meets unique, so isomorphic prefixes have isomorphic
-    leaves, and depth-first order finishes the earlier prefix first.  The
-    forced top does not change the isomorphism class, so distinct
-    (n-1)-element prefixes already give distinct lattices.
+    The one-element lattice comes first.  Then the walk grows prefixes of
+    1 <= i < n_max elements depth first and keys each once, on entry; a
+    prefix isomorphic to an earlier one is not extended.  A unique
+    i-element prefix plus the forced top is the (i+1)-element lattice,
+    yielded on entry before the prefix is extended, so each size comes out
+    in the order a walk that stops at that size gives.  Isomorphic prefixes
+    have isomorphic extensions, since candidates are down-closed, contain
+    the bottom and keep meets unique, and depth-first order finishes the
+    earlier prefix first.  The forced top does not change the isomorphism
+    class, so distinct prefixes give distinct lattices.
 
     A candidate down-set is down-closed when every element it holds has
     its down-set inside it, and keeps meets unique when its intersection
     with each existing down-set is one of the prefix's down-sets (the set
-    ``principal``, built once per prefix).
+    ``principal``, built once per prefix).  The up-masks that the key reads
+    are updated as elements are pushed and popped.
+    """
+    if n_max < 1:
+        return
+    yield [1]
+    seen = set()  # keys are (size, encoding), so one set serves every level
+    down = [1]  # down-set masks of the prefix; element 0 is the bottom
+    up = [1]
 
-    Deterministic order; every emitted structure has passed full
+    def extend(i):
+        key = _order_key(up, down)
+        if key in seen:
+            return  # an isomorphic prefix was extended earlier
+        seen.add(key)
+        bit = 1 << i
+        full = bit - 1
+        yield down + [full | bit]
+        if i + 1 == n_max:
+            return
+        principal = set(down)
+        up.append(bit)
+        # odd masks: a strict down-set always contains the bottom
+        for dmask in range(1, full + 1, 2):
+            if (all(down[d] & ~dmask == 0 for d in _bits(dmask))
+                    and all(dmask & dx in principal for dx in down)):
+                down.append(dmask | bit)
+                for d in _bits(dmask):
+                    up[d] |= bit
+                yield from extend(i + 1)
+                for d in _bits(dmask):
+                    up[d] ^= bit
+                down.pop()
+        up.pop()
+
+    if n_max > 1:
+        yield from extend(1)
+
+
+def enumerate_lattices(n):
+    """Every lattice on n elements, exactly once up to isomorphism.
+
+    The walk of :func:`_lattice_masks` up to size n, keeping size n: it
+    keys the same prefixes as a scan to n and builds only the lattices it
+    returns.  Deterministic order; every emitted structure has passed full
     construction validation including join existence.
     """
     if not 1 <= n <= MAX_ENUM:
         raise TooLarge(f"enumeration guard is n <= {MAX_ENUM}")
     names = tuple(str(i) for i in range(n))
-    seen = set()  # keys are (size, encoding), so one set serves every level
-    down = [1]  # down-set masks of the partial structure; element 0 is bottom
-
-    def extend(i):
-        if i == n:
+    for down in _lattice_masks(n):
+        if len(down) == n:
             yield _from_down_masks(names, down)
-            return
-        key = _order_key(_transpose(down), down)
-        if key in seen:
-            return  # an isomorphic prefix was extended earlier
-        seen.add(key)
-        full = (1 << i) - 1
-        # odd masks: a strict down-set always contains the bottom
-        candidates = [full] if i == n - 1 else range(1, full + 1, 2)
-        principal = set(down)
-        for dmask in candidates:
-            if (all(down[d] & ~dmask == 0 for d in _bits(dmask))
-                    and all(dmask & dx in principal for dx in down)):
-                down.append(dmask | (1 << i))
-                yield from extend(i + 1)
-                down.pop()
-
-    yield from extend(1)
 
 
 # ---------------------------------------------------------------------------
@@ -188,40 +238,45 @@ class ScanReport:
 def conjecture_scan(n_max, budget=DEFAULT_BUDGET, jobs=1):
     """One ScanReport per size 1..n_max.
 
-    The lattices of each size are streamed from :func:`enumerate_lattices`
-    and each gets one ``is_ssp(..., "auto")`` verdict in this process.
-    That verdict tests RC first and labels a non-RC counterexample
-    ``CERT_NON_RC``, so RC is decided once per lattice; a lattice whose RC
-    status and decided verdict disagree is recorded verbatim with its
-    witness.  ``jobs`` reaches only the family search of a lattice that no
-    certificate decides (none exists for n <= 10), so reports do not depend
-    on it.  An ``n_max`` above ``MAX_ENUM`` raises ``TooLarge`` before
-    anything is enumerated.
+    One walk of :func:`_lattice_masks` yields every size, so each prefix
+    is keyed once for the whole scan, and each size is tallied as its
+    lattices appear, in :func:`enumerate_lattices` order.  Each lattice
+    gets one ``is_ssp(..., "auto")`` verdict in this process.  That verdict
+    tests RC first and labels a non-RC counterexample ``CERT_NON_RC``, so
+    RC is decided once per lattice; a lattice whose RC status and decided
+    verdict disagree is recorded verbatim with its witness.  ``jobs``
+    reaches only the family search of a lattice that no certificate
+    decides (none exists for n <= 10), so reports do not depend on it.  An
+    ``n_max`` above ``MAX_ENUM`` raises ``TooLarge`` before anything is
+    enumerated.
     """
     if n_max > MAX_ENUM:
         raise TooLarge(f"enumeration guard is n <= {MAX_ENUM}")
-    reports = []
-    for n in range(1, n_max + 1):
-        total = rc = ssp = inconclusive = agreements = 0
-        counterexamples = []
-        for lattice in enumerate_lattices(n):
-            verdict = is_ssp(lattice, "auto", budget, jobs)
-            is_rc_lattice = verdict.certificate_kind != CERT_NON_RC
-            certified = verdict.outcome == CERTIFIED
-            total += 1
-            rc += is_rc_lattice
-            ssp += certified
-            if verdict.outcome == INCONCLUSIVE:
-                inconclusive += 1
-            elif is_rc_lattice == certified:
-                agreements += 1
-            else:
-                counterexamples.append((lattice, verdict.witness))
-        reports.append(ScanReport(
-            n=n, total_lattices=total, rc_count=rc, ssp_count=ssp,
-            inconclusive=inconclusive, agreements=agreements,
-            counterexamples=tuple(counterexamples)))
-    return reports
+    sizes = range(1, n_max + 1)
+    names = {n: tuple(str(i) for i in range(n)) for n in sizes}
+    total, rc, ssp, inconclusive, agreements = (
+        dict.fromkeys(sizes, 0) for _ in range(5))
+    counterexamples = {n: [] for n in sizes}
+    for down in _lattice_masks(n_max):
+        n = len(down)
+        lattice = _from_down_masks(names[n], down)
+        verdict = is_ssp(lattice, "auto", budget, jobs)
+        is_rc_lattice = verdict.certificate_kind != CERT_NON_RC
+        certified = verdict.outcome == CERTIFIED
+        total[n] += 1
+        rc[n] += is_rc_lattice
+        ssp[n] += certified
+        if verdict.outcome == INCONCLUSIVE:
+            inconclusive[n] += 1
+        elif is_rc_lattice == certified:
+            agreements[n] += 1
+        else:
+            counterexamples[n].append((lattice, verdict.witness))
+    return [ScanReport(n=n, total_lattices=total[n], rc_count=rc[n],
+                       ssp_count=ssp[n], inconclusive=inconclusive[n],
+                       agreements=agreements[n],
+                       counterexamples=tuple(counterexamples[n]))
+            for n in sizes]
 
 
 def scan_report_text(reports):

@@ -181,6 +181,66 @@ def oracle_lattice_count(n):
     return len(keys)
 
 
+def oracle_order_key(up, down):
+    """The canonical order key by plain branch and bound, with no pruning
+    by twins and no search-free path.
+
+    Colours are (down-set size, up-set size); the key is the least
+    encoding over every relabeling that fills the positions colour class
+    by colour class, in ascending colour order, a position holding one bit
+    per earlier position, set iff that element is below it.  A branch is
+    cut once its encoding prefix exceeds the best one seen.
+    ``search._order_key`` must return the same value.
+    """
+    n = len(up)
+    color = [(down[x].bit_count(), up[x].bit_count()) for x in range(n)]
+    slot_class = []
+    for c in sorted(set(color)):
+        cls = [x for x in range(n) if color[x] == c]
+        slot_class += [cls] * len(cls)
+
+    chosen = []
+    enc = []
+    used = [False] * n
+    best = [None]
+
+    def place(pos, equal):
+        if pos == n:
+            if not equal:
+                best[0] = tuple(enc)
+            return
+        cands = []
+        for x in slot_class[pos]:
+            if used[x]:
+                continue
+            bits = 0
+            for c in chosen:
+                bits = (bits << 1) | ((down[x] >> c) & 1)
+            cands.append((bits, x))
+        cands.sort()
+        for bits, x in cands:
+            if equal:
+                ref = best[0][pos]
+                if bits > ref:
+                    break
+                child_equal = bits == ref
+            else:
+                child_equal = False
+            before = best[0]
+            used[x] = True
+            chosen.append(x)
+            enc.append(bits)
+            place(pos + 1, child_equal)
+            enc.pop()
+            chosen.pop()
+            used[x] = False
+            if best[0] is not before:
+                equal = True
+
+    place(0, False)
+    return (n, best[0])
+
+
 def random_family(lattice, rng):
     members = [i for i in range(lattice.n) if rng.random() < 0.5]
     return frozenset(members)

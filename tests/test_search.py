@@ -8,7 +8,7 @@ import latticevc as lv
 from latticevc import cli, search, ssp
 from latticevc.errors import TooLarge
 
-from conftest import oracle_lattice_count
+from conftest import oracle_lattice_count, oracle_order_key
 
 
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222}
@@ -49,10 +49,11 @@ def test_enumeration_guard():
 
 
 def test_scan_guard_refuses_before_enumerating(monkeypatch):
-    def fail(n):
-        raise AssertionError(f"enumerate_lattices({n}) called")
+    def fail(*args):
+        raise AssertionError("enumeration work started")
 
-    monkeypatch.setattr(search, "enumerate_lattices", fail)
+    monkeypatch.setattr(search, "_order_key", fail)
+    monkeypatch.setattr(search, "_from_down_masks", fail)
     with pytest.raises(TooLarge):
         lv.conjecture_scan(search.MAX_ENUM + 1)
     out = io.StringIO()
@@ -74,6 +75,9 @@ def test_one_construction_per_emitted_lattice(monkeypatch):
         calls.clear()
         assert len(list(lv.enumerate_lattices(n))) == expect
         assert len(calls) == expect
+    calls.clear()
+    lv.conjecture_scan(8)
+    assert len(calls) == sum(KNOWN_COUNTS.values()) == 300
 
 
 # _order_key calls per n: one per prefix that is not isomorphic to an
@@ -94,6 +98,12 @@ def test_one_key_per_prefix(monkeypatch):
         calls.clear()
         assert len(list(lv.enumerate_lattices(n))) == KNOWN_COUNTS[n]
         assert len(calls) == expect
+    # one walk serves every size: a scan to 8 keys the prefixes of
+    # enumerate_lattices(8) alone, not those of every smaller size again
+    calls.clear()
+    reports = lv.conjecture_scan(8)
+    assert [r.total_lattices for r in reports] == list(KNOWN_COUNTS.values())
+    assert len(calls) == PREFIX_KEYS[8] == 695
 
 
 # sha256 of every emitted lattice text for n = 1..7 and n = 1..8, in
@@ -151,6 +161,62 @@ def test_isomorphism_invariant_under_relabeling():
             rng.shuffle(perm)
             assert (search.canonical_key(_relabel(lat, perm))
                     == search.canonical_key(lat))
+
+
+def _relabel_masks(masks, perm):
+    """Masks of the same relation with element perm[i] moved to index i."""
+    inv = [0] * len(masks)
+    for new, old in enumerate(perm):
+        inv[old] = new
+    return [sum(1 << inv[y] for y in range(len(masks)) if masks[old] >> y & 1)
+            for old in perm]
+
+
+def test_order_key_values_match_oracle(monkeypatch):
+    # every prefix that the walk to 9 elements keys (each enumeration to
+    # n <= 9 keys a subset of them), as met and under a seeded relabeling:
+    # twin pruning and the search-free path keep the key values themselves
+    met = []
+    key = search._order_key
+
+    def recording(up, down):
+        met.append((tuple(up), tuple(down)))
+        return key(up, down)
+
+    monkeypatch.setattr(search, "_order_key", recording)
+    assert len(list(lv.enumerate_lattices(9))) == 1078
+    assert len(met) == 3556
+    rng = random.Random(9)
+    for up, down in met:
+        expect = oracle_order_key(up, down)
+        assert key(up, down) == expect
+        perm = list(range(len(up)))
+        rng.shuffle(perm)
+        up2, down2 = _relabel_masks(up, perm), _relabel_masks(down, perm)
+        assert key(up2, down2) == oracle_order_key(up2, down2) == expect
+
+
+def _m(k):
+    """Bottom, k atoms, top."""
+    return lv.from_covers(k + 2, None, [(0, a) for a in range(1, k + 1)]
+                          + [(a, k + 1) for a in range(1, k + 1)])
+
+
+def test_order_key_of_twin_atoms_needs_no_search():
+    # the atoms of M_k are twins, so every relabeling encodes the same; the
+    # plain branch and bound of the oracle visits all k! tied leaves
+    rng = random.Random(6)
+    for k in (6, 9):
+        perm = list(range(k + 2))
+        rng.shuffle(perm)
+        base = _m(k)
+        lat = _relabel(base, perm)
+        assert lat.up != base.up
+        expect = (k + 2, (0,) + tuple(1 << a for a in range(k))
+                  + ((1 << (k + 1)) - 1,))
+        assert search.canonical_key(lat) == expect
+        if k == 6:
+            assert oracle_order_key(lat.up, lat.down) == expect
 
 
 def test_isomorphism_distinguishes():

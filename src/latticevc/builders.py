@@ -188,15 +188,12 @@ class MatroidSpec:
                         f"downward closure fails: {sorted(s - {x})} is missing")
         # with downward closure, every (|b|+1)-subset of a larger a is
         # independent, so comparing sizes |b| + 1 and |b| suffices
-        by_size = {}
-        for s in isets:
-            by_size.setdefault(len(s), []).append(s)
-        for size, smaller in by_size.items():
-            for a in by_size.get(size + 1, ()):
-                for b in smaller:
-                    if not any(b | {x} in isets for x in a - b):
-                        raise NotAMatroid(
-                            f"exchange fails for {sorted(a)} over {sorted(b)}")
+        for a in isets:
+            for b in isets:
+                if len(a) == len(b) + 1 and not any(b | {x} in isets
+                                                    for x in a - b):
+                    raise NotAMatroid(
+                        f"exchange fails for {sorted(a)} over {sorted(b)}")
 
     def subset_rank(self, subset):
         return max((len(i) for i in self.independents if i <= subset), default=0)

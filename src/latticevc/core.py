@@ -175,15 +175,6 @@ def _linear_extension(parents):
     return order
 
 
-def _transpose(masks):
-    """Masks of the converse relation: bit y of result[x] iff bit x of masks[y]."""
-    out = [0] * len(masks)
-    for y, mask in enumerate(masks):
-        for x in _bits(mask):
-            out[x] |= 1 << y
-    return out
-
-
 def _from_down_masks(names, down):
     """Trusted constructor from reflexive, transitive down-set masks.
 
@@ -194,7 +185,10 @@ def _from_down_masks(names, down):
     :func:`from_covers`.
     """
     n = len(names)
-    up = _transpose(down)
+    up = [0] * n
+    for y, mask in enumerate(down):
+        for x in _bits(mask):
+            up[x] |= 1 << y
 
     minimals = [x for x in range(n) if down[x] == 1 << x]
     if len(minimals) != 1:

@@ -175,7 +175,7 @@ def _relabel_masks(masks, perm):
 def test_order_key_values_match_oracle(monkeypatch):
     # every prefix that the walk to 9 elements keys (each enumeration to
     # n <= 9 keys a subset of them), as met and under a seeded relabeling:
-    # twin pruning and the search-free path keep the key values themselves
+    # twin pruning keeps the key values themselves
     met = []
     key = search._order_key
 
@@ -194,29 +194,6 @@ def test_order_key_values_match_oracle(monkeypatch):
         rng.shuffle(perm)
         up2, down2 = _relabel_masks(up, perm), _relabel_masks(down, perm)
         assert key(up2, down2) == oracle_order_key(up2, down2) == expect
-
-
-def _m(k):
-    """Bottom, k atoms, top."""
-    return lv.from_covers(k + 2, None, [(0, a) for a in range(1, k + 1)]
-                          + [(a, k + 1) for a in range(1, k + 1)])
-
-
-def test_order_key_of_twin_atoms_needs_no_search():
-    # the atoms of M_k are twins, so every relabeling encodes the same; the
-    # plain branch and bound of the oracle visits all k! tied leaves
-    rng = random.Random(6)
-    for k in (6, 9):
-        perm = list(range(k + 2))
-        rng.shuffle(perm)
-        base = _m(k)
-        lat = _relabel(base, perm)
-        assert lat.up != base.up
-        expect = (k + 2, (0,) + tuple(1 << a for a in range(k))
-                  + ((1 << (k + 1)) - 1,))
-        assert search.canonical_key(lat) == expect
-        if k == 6:
-            assert oracle_order_key(lat.up, lat.down) == expect
 
 
 def test_isomorphism_distinguishes():
@@ -238,6 +215,21 @@ def test_canonical_key_on_symmetric_lattice():
     perm[1], perm[5] = perm[5], perm[1]
     perm[9], perm[12] = perm[12], perm[9]
     assert search.canonical_key(_relabel(lat, perm)) == key
+    # M_k (bottom, k atoms, top), relabeled: one colour class of k twin
+    # atoms, with a closed-form key; the oracle on M_9 visits 9! tied leaves
+    rng = random.Random(6)
+    for k in (6, 9):
+        m_k = lv.from_covers(k + 2, None, [(0, a) for a in range(1, k + 1)]
+                             + [(a, k + 1) for a in range(1, k + 1)])
+        perm = list(range(k + 2))
+        rng.shuffle(perm)
+        lat = _relabel(m_k, perm)
+        assert lat.up != m_k.up
+        expect = (k + 2, (0,) + tuple(1 << a for a in range(k))
+                  + ((1 << (k + 1)) - 1,))
+        assert search.canonical_key(lat) == expect
+        if k == 6:
+            assert oracle_order_key(lat.up, lat.down) == expect
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,9 @@ def _order_key(up, down):
 
     Twins, elements with the same strict down-set and the same strict
     up-set, share a colour, and swapping two of them is an automorphism
-    that fixes every other element, so a node tries one unused member of
-    each twin class.  When every colour class is one twin class, the search
-    is a single descent.
+    that fixes every other element.  So a node tries one unused member of
+    each twin class, and when every colour class is one twin class, every
+    relabeling has the same encoding, computed once without a search.
     """
     n = len(up)
     by_color = {}
@@ -55,7 +55,24 @@ def _order_key(up, down):
         dx, ux = down[x], up[x]
         by_color.setdefault((dx.bit_count(), ux.bit_count()), []).append(x)
         twin.append(first.setdefault((dx ^ (1 << x), ux ^ (1 << x)), x))
-    slot_class = [by_color[c] for c in sorted(by_color) for _ in by_color[c]]
+    classes = [by_color[c] for c in sorted(by_color)]
+
+    # twins share a colour, so equal counts mean equal partitions; `place`
+    # would make one descent here too, at a higher cost per position
+    if len(first) == len(classes):
+        enc = []
+        chosen = []
+        for cls in classes:
+            for x in cls:
+                bits = 0
+                dx = down[x]
+                for c in chosen:
+                    bits = (bits << 1) | ((dx >> c) & 1)
+                enc.append(bits)
+                chosen.append(x)
+        return (n, tuple(enc))
+
+    slot_class = [cls for cls in classes for _ in cls]
     chosen = []
     enc = []
     used = [False] * n

@@ -183,7 +183,7 @@ def oracle_lattice_count(n):
 
 def oracle_order_key(up, down):
     """The canonical order key by plain branch and bound, with no pruning
-    by twins.
+    by twins and no search-free path.
 
     Colours are (down-set size, up-set size); the key is the least
     encoding over every relabeling that fills the positions colour class

@@ -175,7 +175,7 @@ def _relabel_masks(masks, perm):
 def test_order_key_values_match_oracle(monkeypatch):
     # every prefix that the walk to 9 elements keys (each enumeration to
     # n <= 9 keys a subset of them), as met and under a seeded relabeling:
-    # twin pruning keeps the key values themselves
+    # twin pruning and the search-free path keep the key values themselves
     met = []
     key = search._order_key
 

@@ -2,8 +2,7 @@
 
 Elements are indices 0..n-1 with string labels.  The order relation, cover
 pairs, meet/join tables and the (optional) rank function are all computed
-and validated at construction time; instances are immutable afterwards and
-safe to share between parallel workers.
+and validated at construction time; instances are immutable afterwards.
 
 Bitmask convention used throughout the package: bit y of ``up[x]`` is set
 iff x <= y, and bit x of ``down[y]`` is set iff x <= y.

@@ -79,10 +79,6 @@ class CheckFailed(LatticeError):
     """An internally asserted conclusion failed; indicates a bug or a bad precondition."""
 
 
-class WorkerDied(LatticeError):
-    """A worker process of the family search died; names the executor's error."""
-
-
 # -- builders -------------------------------------------------------------------
 
 class TooLarge(LatticeError):

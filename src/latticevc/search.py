@@ -236,7 +236,7 @@ class ScanReport:
     counterexamples: tuple
 
 
-def conjecture_scan(n_max, budget=DEFAULT_BUDGET, jobs=1):
+def conjecture_scan(n_max, budget=DEFAULT_BUDGET):
     """One ScanReport per size 1..n_max.
 
     One walk of :func:`_lattice_masks` yields every size, so each prefix
@@ -245,11 +245,8 @@ def conjecture_scan(n_max, budget=DEFAULT_BUDGET, jobs=1):
     gets one ``is_ssp(..., "auto")`` verdict in this process.  That verdict
     tests RC first and labels a non-RC counterexample ``CERT_NON_RC``, so
     RC is decided once per lattice; a lattice whose RC status and decided
-    verdict disagree is recorded verbatim with its witness.  ``jobs``
-    reaches only the family search of a lattice that no certificate
-    decides (none exists for n <= 10), so reports do not depend on it.  An
-    ``n_max`` above ``MAX_ENUM`` raises ``TooLarge`` before anything is
-    enumerated.
+    verdict disagree is recorded verbatim with its witness.  An ``n_max``
+    above ``MAX_ENUM`` raises ``TooLarge`` before anything is enumerated.
     """
     if n_max > MAX_ENUM:
         raise TooLarge(f"enumeration guard is n <= {MAX_ENUM}")
@@ -261,7 +258,7 @@ def conjecture_scan(n_max, budget=DEFAULT_BUDGET, jobs=1):
     for down in _lattice_masks(n_max):
         n = len(down)
         lattice = _from_down_masks(names[n], down)
-        verdict = is_ssp(lattice, "auto", budget, jobs)
+        verdict = is_ssp(lattice, "auto", budget)
         is_rc_lattice = verdict.certificate_kind != CERT_NON_RC
         certified = verdict.outcome == CERTIFIED
         total[n] += 1

@@ -7,7 +7,6 @@ counterexample on non-RC lattices, and exhaustive search over families with
 sound subset pruning.
 """
 
-import os
 from dataclasses import dataclass
 
 from .core import _bits, product
@@ -19,7 +18,6 @@ from .errors import (
     NotOneMinimal,
     NotRC,
     PreconditionViolated,
-    WorkerDied,
 )
 from .mobius import mobius_table, vanishing_pairs
 from .shattering import realized_meets, shattered_set, shatters
@@ -86,19 +84,18 @@ def non_rc_family(lattice, witness):
 # at every y), and a subtree is skipped once |Str(F)| >= |F| + remaining
 # capacity, which certifies every superset in it.  The search stops at the
 # first violating family.  The budget is pre-allocated to branches by
-# worst-case subtree size so that results do not depend on the worker count.
+# worst-case subtree size, which pins the family counts of partial runs.
 # ---------------------------------------------------------------------------
 
-def _scan_branch(task):
+def _scan_branch(lattice, first, quota):
     """DFS over the families whose least member is `first`, within `quota`
     visited families.
 
-    ``task`` is (lattice, first, quota).  Returns (complete, witness,
-    covered): `complete` is False when the search stopped early, `witness`
-    is the first violating family in DFS order or None, and `covered`
-    counts the families examined or certified by pruning.
+    Returns (complete, witness, covered): `complete` is False when the
+    search stopped early, `witness` is the first violating family in DFS
+    order or None, and `covered` counts the families examined or certified
+    by pruning.
     """
-    lattice, first, quota = task
     n = lattice.n
     down = lattice.down
     add_bits = [[1 << m for m in row] for row in lattice.meet]
@@ -142,43 +139,24 @@ def _scan_branch(task):
     return complete, witness, covered
 
 
-def parallel_map(fn, tasks, jobs):
-    """``fn`` on ``tasks`` in order: a list from min(jobs, len(tasks),
-    os.cpu_count()) worker processes, where a dead worker raises WorkerDied,
-    or, when that is at most 1, the lazy ``map(fn, tasks)`` in this process
-    (no concurrent.futures import), which runs no task that is not read."""
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
-        return map(fn, tasks)
-    import concurrent.futures
-    try:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
-    except concurrent.futures.BrokenExecutor as exc:
-        raise WorkerDied(f"{type(exc).__name__}: {exc}") from exc
-
-
-def _brute_force(lattice, budget, jobs):
+def _brute_force(lattice, budget):
     """The family search as a verdict: the empty family is the first unit
     of the budget, the rest goes to the branches in order, each capped at
-    its subtree size, and the branches merge in order, so the verdict does
-    not depend on ``jobs``.  The first witness is re-verified."""
+    its subtree size.  These quotas fix the family counts of partial runs.
+    The first witness is re-verified."""
     n = lattice.n
     if budget < 1:
         return SspVerdict(INCONCLUSIVE, None, None, 0)
     rest = budget - 1
-    tasks = []
+    covered = 1
+    complete = True
     for first in range(n):
         quota = min(1 << (n - 1 - first), rest)
         if quota == 0:
+            complete = False
             break
         rest -= quota
-        tasks.append((lattice, first, quota))
-
-    covered = 1
-    complete = len(tasks) == n
-    for done, witness, branch_covered in parallel_map(_scan_branch, tasks,
-                                                      jobs):
+        done, witness, branch_covered = _scan_branch(lattice, first, quota)
         covered += branch_covered
         if witness is not None:
             _verify_witness(lattice, witness)
@@ -220,7 +198,7 @@ def _verify_witness(lattice, fam):
         raise CheckFailed("claimed witness shatters at least |F| elements")
 
 
-def is_ssp(lattice, strategy="auto", budget=DEFAULT_BUDGET, jobs=1):
+def is_ssp(lattice, strategy="auto", budget=DEFAULT_BUDGET):
     """Decide the SSP property.
 
     strategy "certificate" applies the Mobius-function certificates only;
@@ -243,7 +221,7 @@ def is_ssp(lattice, strategy="auto", budget=DEFAULT_BUDGET, jobs=1):
         verdict = _certificate_verdict(lattice, witness is None)
         if strategy == "certificate" or verdict.outcome == CERTIFIED:
             return verdict
-    return _brute_force(lattice, budget, jobs)
+    return _brute_force(lattice, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,4 @@
-import concurrent.futures
 import hashlib
-import os
 
 import pytest
 
@@ -13,7 +11,6 @@ from latticevc.errors import (
     NotOneMinimal,
     NotRC,
     PreconditionViolated,
-    WorkerDied,
 )
 
 from conftest import naive_shattered_set, naive_violating_families, random_family
@@ -162,92 +159,21 @@ def test_family_search_deterministic():
     assert digest.hexdigest() == FAMILY_SEARCH_SHA256_N7
 
 
-def test_brute_jobs_deterministic(corpus):
-    for lat in (lv.fig1(), lv.fig3b(), corpus["b3"]):
-        one = lv.is_ssp(lat, "brute", jobs=1)
-        two = lv.is_ssp(lat, "brute", jobs=2)
-        assert one == two
-    # budgets that cut fig1's search: at 300 the first branch is covered in
-    # full and the second in part, so two workers merge a partial branch
-    f1 = lv.fig1()
-    for budget in (100, 300, 511):
-        one = lv.is_ssp(f1, "brute", budget=budget, jobs=1)
-        two = lv.is_ssp(f1, "brute", budget=budget, jobs=2)
-        assert one == two
-
-
-def _recording_pool(monkeypatch):
-    """Replace ProcessPoolExecutor by an in-process fake; returns the list
-    of worker counts asked for.  No worker process is ever started."""
-    requested = []
-
-    class FakeExecutor:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        FakeExecutor)
-    return requested
-
-
-def test_worker_count_clamped_to_cpus(monkeypatch):
-    f1 = lv.fig1()
-    serial = lv.is_ssp(f1, "brute", jobs=1)
-    requested = _recording_pool(monkeypatch)
-    assert lv.is_ssp(f1, "brute", jobs=10**6) == serial
-    assert all(p <= os.cpu_count() for p in requested)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert lv.is_ssp(f1, "brute", jobs=10**6) == serial
-    assert requested[-1] == 3
-
-
-def test_worker_count_clamped_to_tasks(monkeypatch):
-    serial = lv.conjecture_scan(4, jobs=1)
-    requested = _recording_pool(monkeypatch)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    # the scan decides its verdicts in this process: jobs reaches only the
-    # family search, which no lattice of up to 10 elements needs
-    assert lv.conjecture_scan(4, jobs=10**6) == serial
-    assert requested == []
-    assert list(ssp.parallel_map(abs, [], 10**6)) == []
-    assert list(ssp.parallel_map(abs, [-1, -2], 0)) == [1, 2]
-    assert requested == []
-    assert list(ssp.parallel_map(abs, [-1, -2], 10**6)) == [1, 2]
-    assert requested == [2]
-
-
 def test_in_process_search_stops_at_first_witness(monkeypatch):
-    # the first branch of chain:1 x fig3b holds a witness; in process, no
-    # later branch runs
+    # the first branch of chain:1 x fig3b holds a witness; no later branch
+    # runs
     lat = lv.product(lv.chain(1), lv.fig3b())
     calls = []
     scan = ssp._scan_branch
 
-    def counting(task):
-        calls.append(task[1])
-        return scan(task)
+    def counting(lattice, first, quota):
+        calls.append(first)
+        return scan(lattice, first, quota)
 
     monkeypatch.setattr(ssp, "_scan_branch", counting)
-    verdict = lv.is_ssp(lat, "brute", jobs=1)
+    verdict = lv.is_ssp(lat, "brute")
     assert (verdict.outcome, verdict.families_examined) == (ssp.VIOLATED, 54)
     assert calls == [0]
-
-
-def test_dead_worker_raises(monkeypatch):
-    # two tasks on two workers, each worker exits without a result; the
-    # patched CPU count keeps the serial path (which would exit pytest) out
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    with pytest.raises(WorkerDied, match="^BrokenProcessPool: "):
-        ssp.parallel_map(os._exit, [0, 0], 2)
 
 
 def test_verdict_witness_sound(corpus):

@@ -83,32 +83,39 @@ def non_rc_family(lattice, witness):
 # maintained incrementally (adding a member only grows the realized meets
 # at every y), and a subtree is skipped once |Str(F)| >= |F| + remaining
 # capacity, which certifies every superset in it.  The search stops at the
-# first violating family.  The budget is pre-allocated to branches by
-# worst-case subtree size, which pins the family counts of partial runs.
+# first violating family.  One rule charges the budget: each branch may visit
+# the budget less the families covered so far (see `_brute_force`).
 # ---------------------------------------------------------------------------
 
-def _scan_branch(lattice, first, quota):
-    """DFS over the families whose least member is `first`, within `quota`
-    visited families.
+def _brute_force(lattice, budget):
+    """The family search as a verdict, within ``budget`` visited families.
 
-    Returns (complete, witness, covered): `complete` is False when the
-    search stopped early, `witness` is the first violating family in DFS
-    order or None, and `covered` counts the families examined or certified
-    by pruning.
+    The empty family is the first unit of the budget.  Each branch may
+    visit the budget less the families covered (visited or certified by
+    pruning) so far, and the search stops when none is left.  Every earlier
+    branch completed and covered exactly its 2^(n-1-first) families, so a
+    branch gets what capping each branch at its subtree size in advance
+    leaves over, and the family counts of partial runs stay as pinned.  A
+    capped branch can still complete by pruning and cover more than the
+    budget; the next branch then starts below zero and stops at once.  The
+    first witness is re-verified.
     """
     n = lattice.n
+    if budget < 1:
+        return SspVerdict(INCONCLUSIVE, None, None, 0)
     down = lattice.down
     add_bits = [[1 << m for m in row] for row in lattice.meet]
     members = []
     witness = None
-    visited = covered = 0
+    covered = 1
+    left = 0
 
     def visit(j, str_cnt, unsat):
-        # add member j; False stops the whole branch, so members is not popped
-        nonlocal visited, covered, witness
-        if visited >= quota:
+        # add member j; False stops the search, so members is not popped
+        nonlocal covered, left, witness
+        if left <= 0:
             return False
-        visited += 1
+        left -= 1
         covered += 1
         nb = add_bits[j]
         new_unsat = []
@@ -135,38 +142,18 @@ def _scan_branch(lattice, first, quota):
         members.pop()
         return True
 
-    complete = visit(first, 0, [(y, 0) for y in range(n)])
-    return complete, witness, covered
-
-
-def _brute_force(lattice, budget):
-    """The family search as a verdict: the empty family is the first unit
-    of the budget, the rest goes to the branches in order, each capped at
-    its subtree size.  These quotas fix the family counts of partial runs.
-    The first witness is re-verified."""
-    n = lattice.n
-    if budget < 1:
-        return SspVerdict(INCONCLUSIVE, None, None, 0)
-    rest = budget - 1
-    covered = 1
-    complete = True
     for first in range(n):
-        quota = min(1 << (n - 1 - first), rest)
-        if quota == 0:
-            complete = False
+        left = budget - covered
+        if not visit(first, 0, [(y, 0) for y in range(n)]):
             break
-        rest -= quota
-        done, witness, branch_covered = _scan_branch(lattice, first, quota)
-        covered += branch_covered
-        if witness is not None:
-            _verify_witness(lattice, witness)
-            return SspVerdict(VIOLATED, None, witness, covered)
-        complete = complete and done
-    if not complete:
+    else:
+        if covered != 1 << n:
+            raise CheckFailed(f"search covered {covered} of 2^{n} families")
+        return SspVerdict(CERTIFIED, CERT_BRUTE, None, covered)
+    if witness is None:
         return SspVerdict(INCONCLUSIVE, None, None, covered)
-    if covered != 1 << n:
-        raise CheckFailed(f"search covered {covered} of 2^{n} families")
-    return SspVerdict(CERTIFIED, CERT_BRUTE, None, covered)
+    _verify_witness(lattice, witness)
+    return SspVerdict(VIOLATED, None, witness, covered)
 
 
 # ---------------------------------------------------------------------------

@@ -155,11 +155,12 @@ def _lattice_masks(n_max):
     earlier prefix first.  The forced top does not change the isomorphism
     class, so distinct prefixes give distinct lattices.
 
-    A candidate down-set is down-closed when every element it holds has
-    its down-set inside it, and keeps meets unique when its intersection
-    with each existing down-set is one of the prefix's down-sets (the set
-    ``principal``, built once per prefix).  The up-masks that the key reads
-    are updated as elements are pushed and popped.
+    A candidate down-set D keeps meets unique when its intersection with
+    each existing down-set is one of the prefix's down-sets (the set
+    ``principal``, built once per prefix).  That alone makes D down-closed:
+    for d in D, D & down[d] holds d and equals some down[e] inside down[d],
+    so e = d and down[d] lies in D.  The up-masks that the key reads are
+    updated as elements are pushed and popped.
     """
     if n_max < 1:
         return
@@ -182,8 +183,7 @@ def _lattice_masks(n_max):
         up.append(bit)
         # odd masks: a strict down-set always contains the bottom
         for dmask in range(1, full + 1, 2):
-            if (all(down[d] & ~dmask == 0 for d in _bits(dmask))
-                    and all(dmask & dx in principal for dx in down)):
+            if all(dmask & dx in principal for dx in down):
                 down.append(dmask | bit)
                 for d in _bits(dmask):
                     up[d] |= bit

@@ -271,6 +271,10 @@ def interval(lattice, x, y):
     Returns (sub, carrier) where carrier[i] is the index in ``lattice`` of
     element i of ``sub``.  Labels are preserved.
     """
+    # explicit: a bare list index would wrap a negative x or y
+    if not (0 <= x < lattice.n and 0 <= y < lattice.n):
+        raise ValueError(
+            f"interval undefined: ({x}, {y}) is outside 0..{lattice.n - 1}")
     if not lattice.leq(x, y):
         raise NotComparable(
             f"{lattice.names[x]!r} is not below {lattice.names[y]!r}")

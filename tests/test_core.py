@@ -132,6 +132,13 @@ def test_interval_not_comparable():
         lv.interval(b2, b2.index("1"), b2.index("2"))
 
 
+@pytest.mark.parametrize("x, y", [(-1, 3), (0, 4), (0, -1)])
+def test_interval_endpoint_out_of_range(x, y):
+    b2 = lv.boolean(2)
+    with pytest.raises(ValueError, match=r"outside 0\.\.3$"):
+        lv.interval(b2, x, y)
+
+
 def test_interval_bottom_top_is_whole_lattice(corpus):
     for name, lat in corpus.items():
         if lat.top is None:

@@ -1,5 +1,6 @@
 import io
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -38,6 +39,31 @@ def test_ssp_inconclusive_budget():
     code, out = run_cli("ssp", "--strategy", "brute", "--budget", "10", "fig1")
     assert code == 1
     assert out.startswith("Inconclusive")
+
+
+def _readme_examples():
+    """(argv, stdout) for each ``$ latticevc ...`` example in the README's
+    "Command line" section."""
+    readme = Path(__file__).parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split(
+        "## Command line\n", 1)[1].split("\n## ", 1)[0]
+    examples = []
+    for block in section.split("```")[1::2]:
+        current = None
+        for line in block.strip("\n").splitlines():
+            if line.startswith("$ latticevc "):
+                current = [shlex.split(line)[2:], ""]
+                examples.append(current)
+            elif current is not None:
+                current[1] += line + "\n"
+    return examples
+
+
+def test_readme_examples_match_cli():
+    examples = _readme_examples()
+    assert len(examples) == 3
+    for argv, expected in examples:
+        assert run_cli(*argv)[1] == expected, argv
 
 
 def test_mobius_pair():

@@ -108,7 +108,6 @@ def _brute_force(lattice, budget):
     members = []
     witness = None
     covered = 1
-    left = 0
 
     def visit(j, str_cnt, unsat):
         # add member j; False stops the search, so members is not popped

@@ -1,8 +1,10 @@
 """Finite meet-semilattices and lattices on dense integer indices.
 
 Elements are indices 0..n-1 with string labels.  The order relation, cover
-pairs, meet/join tables and the (optional) rank function are all computed
-and validated at construction time; instances are immutable afterwards.
+pairs, the meet table and the (optional) rank function are all computed and
+validated at construction time; instances are immutable afterwards.  A
+structure with a top is a lattice, and its joins are read off the up-masks:
+x v y = a exactly when ``up[x] & up[y] == up[a]``.
 
 Bitmask convention used throughout the package: bit y of ``up[x]`` is set
 iff x <= y, and bit x of ``down[y]`` is set iff x <= y.
@@ -23,7 +25,7 @@ from .errors import (
 
 _LABEL_BAD_CHARS = set(", \t\r\n#")
 
-# the element cap: it keeps each n x n meet/join table under 4.2 M entries
+# the element cap: it keeps the n x n meet table under 4.2 M entries
 MAX_ELEMENTS = 2048
 
 
@@ -61,24 +63,23 @@ class Lattice:
     up, down : tuples of up-set / down-set bitmasks
     covers   : tuple of (child, parent) pairs, the transitive reduction
     meet     : n x n tuple-of-tuples meet table
-    join     : n x n join table, or None when there is no maximal element
     bottom   : index of the unique minimal element
-    top      : index of the maximal element, or None
+    top      : index of the maximal element, or None; the structure is a
+               lattice exactly when it has one
     rank     : tuple of ranks, or None when no consistent rank exists
     linext   : a fixed linear extension (tuple of indices)
 
     Construct through :func:`from_covers`; the constructor trusts its inputs.
     """
 
-    def __init__(self, n, names, up, down, covers, meet, join, bottom, top,
-                 rank, linext):
+    def __init__(self, n, names, up, down, covers, meet, bottom, top, rank,
+                 linext):
         self.n = n
         self.names = names
         self.up = up
         self.down = down
         self.covers = covers
         self.meet = meet
-        self.join = join
         self.bottom = bottom
         self.top = top
         self.rank = rank
@@ -102,7 +103,7 @@ class Lattice:
             raise ValueError(f"no element labelled {label!r}") from None
 
     def __repr__(self):
-        kind = "lattice" if self.join is not None else "meet-semilattice"
+        kind = "lattice" if self.top is not None else "meet-semilattice"
         return f"<{kind} n={self.n} bottom={self.names[self.bottom]!r}>"
 
 
@@ -116,7 +117,7 @@ def from_covers(n, names, covers):
 
     Raises NotAPoset on a cycle, NoBottom when the minimal element is not
     unique, NotMeetSemilattice when some pair has two maximal common lower
-    bounds.  The join table is present exactly when a maximal element
+    bounds.  The structure is a lattice exactly when a maximal element
     exists (a finite meet-semilattice with a top is a lattice).  More than
     MAX_ELEMENTS elements raise TooLarge.
     """
@@ -177,11 +178,10 @@ def _linear_extension(parents):
 def _from_down_masks(names, down):
     """Trusted constructor from reflexive, transitive down-set masks.
 
-    Derives the up-sets, checks for a unique bottom and for meets (and
-    joins when a top exists), and computes the covers (the transitive
-    reduction), the linear extension (:func:`_linear_extension` of the
-    covers) and the rank in one loop over it.  Outside input goes through
-    :func:`from_covers`.
+    Derives the up-sets, checks for a unique bottom and for meets, and
+    computes the covers (the transitive reduction), the linear extension
+    (:func:`_linear_extension` of the covers) and the rank in one loop over
+    it.  Outside input goes through :func:`from_covers`.
     """
     n = len(names)
     up = [0] * n
@@ -218,14 +218,8 @@ def _from_down_masks(names, down):
             elif rank[p] != rank[x] + 1:
                 ranked = False
 
-    meet = _glb_table(n, down, names, dual=False)
-
+    meet = _meet_table(n, down, names)
     maximals = [x for x in range(n) if up[x] == 1 << x]
-    top = maximals[0] if len(maximals) == 1 else None
-    join = None
-    if top is not None:
-        # guaranteed to exist once every meet does and a top is present
-        join = _glb_table(n, up, names, dual=True)
 
     return Lattice(
         n=n,
@@ -234,18 +228,17 @@ def _from_down_masks(names, down):
         down=tuple(down),
         covers=red,
         meet=tuple(tuple(row) for row in meet),
-        join=None if join is None else tuple(tuple(row) for row in join),
         bottom=bottom,
-        top=top,
+        top=maximals[0] if len(maximals) == 1 else None,
         rank=tuple(rank) if ranked else None,
         linext=tuple(order),
     )
 
 
-def _glb_table(n, down, names, dual):
-    """Meet table (or join table when called with the up-set masks).
+def _meet_table(n, down, names):
+    """The meet table.
 
-    The glb of x, y is the element whose down-set is down[x] & down[y]; the
+    The meet of x, y is the element whose down-set is down[x] & down[y]; the
     masks are distinct, so a ``{mask: element}`` dict finds it or shows that
     the pair has no unique greatest common lower bound.
     """
@@ -256,10 +249,9 @@ def _glb_table(n, down, names, dual):
         for y in range(x + 1, n):
             m = element.get(down[x] & down[y])
             if m is None:
-                word = "upper" if dual else "lower"
                 raise NotMeetSemilattice(
                     f"elements {names[x]!r}, {names[y]!r} have no unique "
-                    f"greatest common {word} bound"
+                    "greatest common lower bound"
                 )
             table[x][y] = table[y][x] = m
     return table
@@ -295,8 +287,8 @@ def product(lattice, other):
 
     Element (i, j) gets index i * other.n + j and label "(a|b)"; its
     down-set, the OR over a <= i of ``other.down[j] << (a * other.n)``, goes
-    to :func:`_from_down_masks`.  Meets, joins and ranks are componentwise
-    (rank adds) whenever both factors have them.
+    to :func:`_from_down_masks`.  The order and the meets are componentwise,
+    and so is the rank (it adds) when both factors are ranked.
     """
     _check_size(lattice.n * other.n, "the product")
     m = other.n
@@ -314,13 +306,14 @@ def atoms(lattice):
 
 
 def is_atomic(lattice):
-    """True iff the join of all atoms is the maximal element."""
+    """True iff the join of all atoms is the maximal element, that is iff
+    the only element above every atom is the top."""
     if lattice.top is None:
         raise NoTop("atomicity needs a maximal element")
-    j = lattice.bottom
+    above = lattice.up[lattice.bottom]
     for a in atoms(lattice):
-        j = lattice.join[j][a]
-    return j == lattice.top
+        above &= lattice.up[a]
+    return above == 1 << lattice.top
 
 
 def count_by_rank(lattice, d):

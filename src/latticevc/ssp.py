@@ -335,7 +335,7 @@ def one_minimal_check(lattice, family):
     to be an injection from N into D = {u : x ^ u = y}, which forces
     |F| <= |L| - |D| <= |L| - |N| = |Str(F)|.
     """
-    if lattice.join is None:
+    if lattice.top is None:
         raise NotALattice("complement construction needs joins")
     rc_witness = is_rc(lattice)
     if rc_witness is not None:
@@ -361,12 +361,14 @@ def one_minimal_check(lattice, family):
     if dset & fam:
         raise CheckFailed("D intersects the family despite the choice of y")
 
+    # c v x = a exactly when the common upper bounds of c and x are a's
+    up = lattice.up
     injection = []
     used = set()
     for a in sorted(nset):
         comp = next((c for c in lattice.linext
                      if lattice.leq(y, c) and lattice.leq(c, a)
-                     and lattice.meet[c][x] == y and lattice.join[c][x] == a),
+                     and lattice.meet[c][x] == y and up[c] & up[x] == up[a]),
                     None)
         if comp is None:
             raise CheckFailed(

@@ -267,7 +267,7 @@ def test_criterion_09_one_minimal():
             targets = set()
             for a, c in report.injection:
                 assert lat.meet[c][report.x] == report.y
-                assert lat.join[c][report.x] == a
+                assert lat.up[c] & lat.up[report.x] == lat.up[a]
                 assert c in report.meets_at_y
                 targets.add(c)
             assert len(targets) == len(report.not_shattered)

@@ -34,7 +34,7 @@ def test_from_covers_single_element():
     lat = lv.from_covers(1, ["x"], [])
     assert lat.bottom == lat.top == 0
     assert lat.rank == (0,)
-    assert lat.join == ((0,),)
+    assert lat.meet == ((0,),)
 
 
 def test_fig1_is_unranked_with_mixed_chain_lengths():
@@ -197,6 +197,13 @@ def test_product_refuses_colliding_labels():
         lv.product(a, b)
 
 
+def _join(lat, x, y):
+    """x v y, read off the up-masks: the one element whose up-set is
+    up[x] & up[y] (unpacking fails unless there is exactly one)."""
+    (j,) = [a for a in range(lat.n) if lat.up[a] == lat.up[x] & lat.up[y]]
+    return j
+
+
 def test_product_componentwise_tables():
     a, b = lv.chain(2), lv.boolean(2)
     p = lv.product(a, b)
@@ -208,7 +215,8 @@ def test_product_componentwise_tables():
                     x, y = i1 * m + j1, i2 * m + j2
                     assert p.leq(x, y) == (a.leq(i1, i2) and b.leq(j1, j2))
                     assert p.meet[x][y] == a.meet[i1][i2] * m + b.meet[j1][j2]
-                    assert p.join[x][y] == a.join[i1][i2] * m + b.join[j1][j2]
+                    assert _join(p, x, y) == (_join(a, i1, i2) * m
+                                              + _join(b, j1, j2))
                     assert p.rank[x] == a.rank[i1] + b.rank[j1]
 
 
@@ -249,7 +257,7 @@ def test_is_atomic():
 def test_is_atomic_needs_top():
     # meet-semilattice with two maximal elements
     v = lv.from_covers(3, None, [(0, 1), (0, 2)])
-    assert v.top is None and v.join is None
+    assert v.top is None
     with pytest.raises(NoTop):
         lv.is_atomic(v)
 
@@ -279,11 +287,11 @@ def test_meet_is_greatest_lower_bound(corpus):
 
 def test_join_is_least_upper_bound(corpus):
     for name, lat in corpus.items():
-        if lat.join is None:
+        if lat.top is None:
             continue
         for x in range(lat.n):
             for y in range(lat.n):
-                j = lat.join[x][y]
+                j = _join(lat, x, y)
                 assert lat.leq(x, j) and lat.leq(y, j), name
                 for z in range(lat.n):
                     if lat.leq(x, z) and lat.leq(y, z):

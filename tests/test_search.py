@@ -38,7 +38,7 @@ def test_emitted_lattices_are_valid_and_distinct():
         for lat in lats:
             assert lat.bottom is not None
             assert lat.top is not None
-            assert lat.join is not None
+            assert lat.down[lat.top] == (1 << lat.n) - 1
 
 
 def test_enumeration_guard():

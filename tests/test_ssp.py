@@ -403,4 +403,4 @@ def test_one_minimal_exhaustive_small_rc(corpus):
             assert len(set(targets)) == len(report.not_shattered)
             for a, c in report.injection:
                 assert lat.meet[c][report.x] == report.y
-                assert lat.join[c][report.x] == a
+                assert lat.up[c] & lat.up[report.x] == lat.up[a]

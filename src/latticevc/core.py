@@ -37,6 +37,15 @@ def _check_size(count, what):
                        f"of {MAX_ELEMENTS}")
 
 
+def _check_elements(n, elements, what):
+    """Raise ValueError unless every one of ``elements`` is an index
+    0..n-1; explicit, because a bare list index would wrap a negative one
+    and a bit shift would refuse it with a bare error."""
+    for x in elements:
+        if not 0 <= x < n:
+            raise ValueError(f"{what} undefined: {x} is outside 0..{n - 1}")
+
+
 def _check_label(label):
     if not label or any(ch in _LABEL_BAD_CHARS for ch in label):
         raise ValueError(
@@ -87,13 +96,16 @@ class Lattice:
         self._index = {nm: i for i, nm in enumerate(names)}
 
     def leq(self, x, y):
+        _check_elements(self.n, (x, y), "leq")
         return (self.up[x] >> y) & 1 == 1
 
     def downset(self, x):
         """All elements below-or-equal x, as a frozenset."""
+        _check_elements(self.n, (x,), "downset")
         return frozenset(_bits(self.down[x]))
 
     def upset(self, x):
+        _check_elements(self.n, (x,), "upset")
         return frozenset(_bits(self.up[x]))
 
     def index(self, label):
@@ -263,10 +275,7 @@ def interval(lattice, x, y):
     Returns (sub, carrier) where carrier[i] is the index in ``lattice`` of
     element i of ``sub``.  Labels are preserved.
     """
-    # explicit: a bare list index would wrap a negative x or y
-    if not (0 <= x < lattice.n and 0 <= y < lattice.n):
-        raise ValueError(
-            f"interval undefined: ({x}, {y}) is outside 0..{lattice.n - 1}")
+    _check_elements(lattice.n, (x, y), "interval")
     if not lattice.leq(x, y):
         raise NotComparable(
             f"{lattice.names[x]!r} is not below {lattice.names[y]!r}")

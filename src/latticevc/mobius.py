@@ -8,7 +8,7 @@ every y >= x, filled along the lattice's linear extension.  Pairs are read
 off the up-masks in index order, so nothing is ever sorted.
 """
 
-from .core import _bits
+from .core import _bits, _check_elements
 from .errors import NotRanked
 
 
@@ -25,10 +25,7 @@ class MobiusTable:
 
     def mu(self, x, y):
         lat = self.lattice
-        # explicit: a bare list index would wrap a negative x or y
-        if not (0 <= x < lat.n and 0 <= y < lat.n):
-            raise ValueError(
-                f"mu undefined: ({x}, {y}) is outside 0..{lat.n - 1}")
+        _check_elements(lat.n, (x, y), "mu")
         if not lat.leq(x, y):
             raise ValueError(
                 f"mu undefined: {lat.names[x]!r} is not below "

@@ -10,7 +10,7 @@ carry the spanning/elimination certificates that bound |F| by |Str(F)|.
 from fractions import Fraction
 
 from . import linalg
-from .core import _bits
+from .core import _bits, _check_elements
 from .errors import (
     CheckFailed,
     ElementIsShattered,
@@ -33,13 +33,17 @@ def realized_meets(lattice, family, y):
 
 def shatters(lattice, family, y):
     """True iff every x <= y equals z ^ y for some z in the family."""
+    _check_elements(lattice.n, (y, *family), "shatters")
     return lattice.down[y] & ~realized_meets(lattice, family, y) == 0
 
 
 def shattered_set(lattice, family):
     """Str(F): all shattered elements.  Always downward-closed."""
     fam = tuple(family)
-    return frozenset(y for y in range(lattice.n) if shatters(lattice, fam, y))
+    _check_elements(lattice.n, fam, "shattered_set")
+    down = lattice.down
+    return frozenset(y for y in range(lattice.n)
+                     if down[y] & ~realized_meets(lattice, fam, y) == 0)
 
 
 def vc_dim(lattice, family):

@@ -9,7 +9,7 @@ sound subset pruning.
 
 from dataclasses import dataclass
 
-from .core import _bits, product
+from .core import _bits, _check_elements, product
 from .errors import (
     CheckFailed,
     FactorNotSSP,
@@ -280,6 +280,11 @@ def product_ssp_witness(l_factor, k_factor, family, l_verdict=None,
     Both factors must come with a CertifiedSSP verdict (computed here with
     strategy "auto" when not supplied); otherwise FactorNotSSP is raised.
     """
+    nl = l_factor.n
+    nk = k_factor.n
+    fam = frozenset(family)
+    # the slices below filter by membership, which would drop a bad index
+    _check_elements(nk * nl, fam, "product_ssp_witness")
     if l_verdict is None:
         l_verdict = is_ssp(l_factor, "auto", budget)
     if k_verdict is None:
@@ -288,9 +293,6 @@ def product_ssp_witness(l_factor, k_factor, family, l_verdict=None,
         raise FactorNotSSP("first factor is not verified SSP")
     if k_verdict.outcome != CERTIFIED:
         raise FactorNotSSP("second factor is not verified SSP")
-    nl = l_factor.n
-    nk = k_factor.n
-    fam = frozenset(family)
     # F_k: the L-slice of the family over k; I_k = Str_L(F_k)
     slices = [shattered_set(l_factor,
                             [l for l in range(nl) if k * nl + l in fam])

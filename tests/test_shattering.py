@@ -111,6 +111,35 @@ def test_monotonicity(corpus, rng):
             assert lv.shattered_set(lat, small) <= lv.shattered_set(lat, big), name
 
 
+@pytest.mark.parametrize("call", [
+    "shattered_set(b2, [-1])",
+    "shattered_set(b2, [4])",
+    "shatters(b2, [0], -1)",
+    "shatters(b2, [-1], 3)",
+    "vc_dim(b2, [-1])",
+    "b2.leq(-1, 3)",
+    "b2.leq(0, 4)",
+    "b2.upset(-1)",
+    "b2.downset(4)",
+    "interval(b2, -1, 3)",
+    "mobius_table(b2).mu(0, -1)",
+    "antichain_check(b2, [-1], [0])",
+    "antichain_check(b2, [1, 2], [-1])",
+    "elimination(b2, [0], -1)",
+    "elimination_rc(b2, [-1], 3)",
+    "spanning_certificate(b2, [-1])",
+    "one_minimal_check(b2, [-1])",
+    "product_ssp_witness(b1, b1, [-1])",
+    "product_ssp_witness(b1, b1, [7])",
+])
+def test_element_index_out_of_range(call):
+    # a negative index would wrap to the top, a large one raise IndexError;
+    # boolean(2) and the product of two boolean(1) both have 4 elements
+    names = {"b2": lv.boolean(2), "b1": lv.boolean(1), **vars(lv)}
+    with pytest.raises(ValueError, match=r"is outside 0\.\.3$"):
+        eval(call, names)
+
+
 # ---------------------------------------------------------------------------
 # VC dimension
 # ---------------------------------------------------------------------------

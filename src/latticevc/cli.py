@@ -220,7 +220,7 @@ def _cmd_antichain(args, out):
 
 
 def _cmd_scan(args, out):
-    reports = search.conjecture_scan(args.max_n, budget=args.budget)
+    reports = search.conjecture_scan(args.max_n)
     if args.format == "tsv":
         out.write(search.scan_report_tsv(reports))
     else:
@@ -336,7 +336,6 @@ def _build_parser():
 
     p = sub.add_parser("scan", help="RC-vs-SSP scan over all small lattices")
     p.add_argument("--max-n", type=_at_least(1), default=6)
-    p.add_argument("--budget", type=_at_least(0), default=ssp.DEFAULT_BUDGET)
     p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--format", choices=("text", "tsv"), default="text")
     p.set_defaults(func=_cmd_scan)

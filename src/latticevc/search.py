@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .core import _bits, _from_down_masks, emit_lattice_text, format_family
 from .errors import TooLarge
-from .ssp import CERT_NON_RC, CERTIFIED, DEFAULT_BUDGET, INCONCLUSIVE, is_ssp
+from .ssp import CERT_NON_RC, CERTIFIED, INCONCLUSIVE, is_ssp
 
 MAX_ENUM = 10
 
@@ -203,7 +203,7 @@ def enumerate_lattices(n):
     The walk of :func:`_lattice_masks` up to size n, keeping size n: it
     keys the same prefixes as a scan to n and builds only the lattices it
     returns.  Deterministic order; every emitted structure has passed full
-    construction validation including join existence.
+    construction validation and has a top, so it is a lattice.
     """
     if not 1 <= n <= MAX_ENUM:
         raise TooLarge(f"enumeration guard is n <= {MAX_ENUM}")
@@ -223,9 +223,10 @@ class ScanReport:
 
     ``counterexamples`` holds (lattice, family) pairs where the RC status
     and the SSP verdict disagree; a non-empty list at any size is a
-    reportable event.  ``inconclusive`` counts budget-limited lattices,
-    which never count toward ``ssp_count``; with an adequate budget
-    agreements + counterexamples = total.
+    reportable event.  ``inconclusive`` counts lattices on which the family
+    search ran out of its default budget; they never count toward
+    ``ssp_count``, and without them agreements + counterexamples = total.
+    Up to n = 10 no lattice reaches the search, so the count is 0.
     """
     n: int
     total_lattices: int
@@ -236,7 +237,7 @@ class ScanReport:
     counterexamples: tuple
 
 
-def conjecture_scan(n_max, budget=DEFAULT_BUDGET):
+def conjecture_scan(n_max):
     """One ScanReport per size 1..n_max.
 
     One walk of :func:`_lattice_masks` yields every size, so each prefix
@@ -258,7 +259,7 @@ def conjecture_scan(n_max, budget=DEFAULT_BUDGET):
     for down in _lattice_masks(n_max):
         n = len(down)
         lattice = _from_down_masks(names[n], down)
-        verdict = is_ssp(lattice, "auto", budget)
+        verdict = is_ssp(lattice, "auto")
         is_rc_lattice = verdict.certificate_kind != CERT_NON_RC
         certified = verdict.outcome == CERTIFIED
         total[n] += 1

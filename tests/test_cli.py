@@ -271,10 +271,8 @@ def test_ssp_single_family():
 
 
 def test_negative_budget_rejected_at_parse_time(capsys):
-    for argv in (("ssp", "fig1", "--budget", "-1"),
-                 ("scan", "--max-n", "3", "--budget", "-5")):
-        assert run_cli(*argv) == (2, "")
-        assert "--budget: must be >= 0" in capsys.readouterr().err
+    assert run_cli("ssp", "fig1", "--budget", "-1") == (2, "")
+    assert "--budget: must be >= 0" in capsys.readouterr().err
     for argv, message in ((("scan", "--max-n", "0"), "--max-n: must be >= 1"),
                           (("scan", "--max-n", "-3"), "--max-n: must be >= 1"),
                           (("scan", "--jobs", "0"), "--jobs: must be >= 1"),

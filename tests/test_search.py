@@ -264,12 +264,12 @@ def test_scan_reports_counterexample_and_inconclusive(monkeypatch):
     # 2-element chain undecided; every other lattice keeps its real verdict
     real = search.is_ssp
 
-    def fake(lattice, strategy, budget):
+    def fake(lattice, strategy):
         if lattice.n == 4 and lv.is_rc(lattice) is None:
             return ssp.SspVerdict(ssp.VIOLATED, None, frozenset({1, 2}), 7)
         if lattice.n == 2:
             return ssp.SspVerdict(ssp.INCONCLUSIVE, None, None, 3)
-        return real(lattice, strategy, budget)
+        return real(lattice, strategy)
 
     monkeypatch.setattr(search, "is_ssp", fake)
     reports = lv.conjecture_scan(4)
@@ -292,11 +292,3 @@ def test_scan_reports_counterexample_and_inconclusive(monkeypatch):
     assert search.scan_report_tsv(reports).splitlines()[2:] == [
         "2\t1\t1\t0\t1\t0", "3\t1\t0\t0\t0\t0", "4\t2\t1\t0\t0\t1"]
     assert cli.run(["scan", "--max-n", "4"], out=io.StringIO()) == 1
-
-
-def test_scan_zero_budget_still_resolves_small_sizes():
-    # every RC lattice below 8 elements carries a Mobius certificate, so a
-    # zero family budget changes nothing there
-    reports = lv.conjecture_scan(5, budget=0)
-    assert all(r.inconclusive == 0 for r in reports)
-    assert all(r.counterexamples == () for r in reports)

@@ -2,9 +2,8 @@
 
 Elements are indices 0..n-1 with string labels.  The order relation, cover
 pairs, the meet table and the (optional) rank function are all computed and
-validated at construction time; instances are immutable afterwards.  A
-structure with a top is a lattice, and its joins are read off the up-masks:
-x v y = a exactly when ``up[x] & up[y] == up[a]``.
+validated at construction time; instances are immutable afterwards.  With a
+top the structure is a lattice: x v y = a exactly when up[x] & up[y] == up[a].
 
 Bitmask convention used throughout the package: bit y of ``up[x]`` is set
 iff x <= y, and bit x of ``down[y]`` is set iff x <= y.
@@ -38,9 +37,8 @@ def _check_size(count, what):
 
 
 def _check_elements(n, elements, what):
-    """Raise ValueError unless every one of ``elements`` is an index
-    0..n-1; explicit, because a bare list index would wrap a negative one
-    and a bit shift would refuse it with a bare error."""
+    """Raise ValueError unless all ``elements`` are in 0..n-1: a bare list
+    index would wrap a negative one, and a bit shift refuse it unnamed."""
     for x in elements:
         if not 0 <= x < n:
             raise ValueError(f"{what} undefined: {x} is outside 0..{n - 1}")
@@ -73,8 +71,7 @@ class Lattice:
     covers   : tuple of (child, parent) pairs, the transitive reduction
     meet     : n x n tuple-of-tuples meet table
     bottom   : index of the unique minimal element
-    top      : index of the maximal element, or None; the structure is a
-               lattice exactly when it has one
+    top      : index of the maximal element, or None (not a lattice)
     rank     : tuple of ranks, or None when no consistent rank exists
     linext   : a fixed linear extension (tuple of indices)
 
@@ -230,7 +227,6 @@ def _from_down_masks(names, down):
             elif rank[p] != rank[x] + 1:
                 ranked = False
 
-    meet = _meet_table(n, down, names)
     maximals = [x for x in range(n) if up[x] == 1 << x]
 
     return Lattice(
@@ -239,7 +235,7 @@ def _from_down_masks(names, down):
         up=tuple(up),
         down=tuple(down),
         covers=red,
-        meet=tuple(tuple(row) for row in meet),
+        meet=_meet_table(n, down, names),
         bottom=bottom,
         top=maximals[0] if len(maximals) == 1 else None,
         rank=tuple(rank) if ranked else None,
@@ -266,7 +262,7 @@ def _meet_table(n, down, names):
                     "greatest common lower bound"
                 )
             table[x][y] = table[y][x] = m
-    return table
+    return tuple(map(tuple, table))
 
 
 def interval(lattice, x, y):
@@ -315,8 +311,7 @@ def atoms(lattice):
 
 
 def is_atomic(lattice):
-    """True iff the join of all atoms is the maximal element, that is iff
-    the only element above every atom is the top."""
+    """True iff the atoms join to the top: only it lies above them all."""
     if lattice.top is None:
         raise NoTop("atomicity needs a maximal element")
     above = lattice.up[lattice.bottom]

@@ -223,10 +223,9 @@ class ScanReport:
 
     ``counterexamples`` holds (lattice, family) pairs where the RC status
     and the SSP verdict disagree; a non-empty list at any size is a
-    reportable event.  ``inconclusive`` counts lattices on which the family
-    search ran out of its default budget; they never count toward
-    ``ssp_count``, and without them agreements + counterexamples = total.
-    Up to n = 10 no lattice reaches the search, so the count is 0.
+    reportable event.  ``inconclusive`` counts lattices whose family search
+    ran out of budget (none up to n = 10 reaches it), which never count
+    toward ``ssp_count``; agreements + counterexamples + inconclusive = total.
     """
     n: int
     total_lattices: int

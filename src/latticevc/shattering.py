@@ -41,9 +41,8 @@ def shattered_set(lattice, family):
     """Str(F): all shattered elements.  Always downward-closed."""
     fam = tuple(family)
     _check_elements(lattice.n, fam, "shattered_set")
-    down = lattice.down
     return frozenset(y for y in range(lattice.n)
-                     if down[y] & ~realized_meets(lattice, fam, y) == 0)
+                     if lattice.down[y] & ~realized_meets(lattice, fam, y) == 0)
 
 
 def vc_dim(lattice, family):

@@ -363,14 +363,13 @@ def one_minimal_check(lattice, family):
     if dset & fam:
         raise CheckFailed("D intersects the family despite the choice of y")
 
-    # c v x = a exactly when the common upper bounds of c and x are a's
-    up = lattice.up
     injection = []
     used = set()
     for a in sorted(nset):
         comp = next((c for c in lattice.linext
                      if lattice.leq(y, c) and lattice.leq(c, a)
-                     and lattice.meet[c][x] == y and up[c] & up[x] == up[a]),
+                     and lattice.meet[c][x] == y
+                     and lattice.up[c] & lattice.up[x] == lattice.up[a]),
                     None)
         if comp is None:
             raise CheckFailed(

@@ -37,8 +37,8 @@ def _check_size(count, what):
 
 
 def _check_elements(n, elements, what):
-    """Raise ValueError unless all ``elements`` are in 0..n-1: a bare list
-    index would wrap a negative one, and a bit shift refuse it unnamed."""
+    """Raise ValueError unless all ``elements`` are in 0..n-1 (a bare list
+    index would wrap a negative one)."""
     for x in elements:
         if not 0 <= x < n:
             raise ValueError(f"{what} undefined: {x} is outside 0..{n - 1}")

@@ -4,6 +4,7 @@ import pytest
 
 import latticevc as lv
 from latticevc import ssp
+from latticevc.cli import load_source
 from latticevc.errors import (
     FactorNotSSP,
     NotALattice,
@@ -167,6 +168,19 @@ def test_in_process_search_stops_at_first_witness():
     verdict = lv.is_ssp(lat, "brute")
     assert (verdict.outcome, verdict.families_examined) == (ssp.VIOLATED, 54)
     assert min(verdict.witness) == 0
+
+
+@pytest.mark.parametrize("spec, budget, expected", [
+    ("fig2", 1 << 16, (ssp.INCONCLUSIVE, 81913)),
+    ("boolean:5", 1 << 16, (ssp.INCONCLUSIVE, 126918)),
+    ("subspace:3:3", 1 << 16, (ssp.INCONCLUSIVE, 81296)),
+    ("product(fig1,chain:1)", ssp.DEFAULT_BUDGET, (ssp.CERTIFIED, 262144)),
+])
+def test_family_search_pinned_above_n8(spec, budget, expected):
+    # 18 to 33 elements: the search's per-element state spans more than a
+    # machine word, and the family counts pin the tree it visits
+    verdict = lv.is_ssp(load_source(spec), "brute", budget=budget)
+    assert (verdict.outcome, verdict.families_examined) == expected
 
 
 def test_verdict_witness_sound(corpus):

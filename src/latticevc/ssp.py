@@ -79,16 +79,58 @@ def non_rc_family(lattice, witness):
 # Families are traversed as a subset tree: the children of F extend it by a
 # strictly larger element index, so every nonempty family lies in the branch
 # of its least member (n branches).  The empty family never violates
-# (|Str(F)| = 0 = |F|) and is counted without a branch.  Shattering data is
-# maintained incrementally (adding a member only grows the realized meets
-# at every y), and a subtree is skipped once |Str(F)| >= |F| + remaining
-# capacity, which certifies every superset in it.  The search stops at the
-# first violating family.  One rule charges the budget: each branch may visit
-# the budget less the families covered so far (see `_brute_force`).
+# (|Str(F)| = 0 = |F|) and is counted without a branch.  A node carries its
+# shattering state as one integer, packed from one block per element y:
+# down[y] & ~realized_meets(F, y), the x <= y that no member meets y at,
+# under a guard bit that stays clear.  Adding a member only clears bits, and
+# y is shattered exactly when its block is zero.  A subtree is skipped once
+# |Str(F)| >= |F| + remaining capacity, which certifies every superset in it.
+# The search stops at the first violating family.  One rule charges the
+# budget: each branch may visit the budget less the families covered so far
+# (see `_brute_force`).
 # ---------------------------------------------------------------------------
+
+def _packed_masks(lattice):
+    """The masks of the packed state, as (start, ones, guards, keep).
+
+    Block y is laid out like down[y], bit x for element x, in the fewest
+    whole bytes whose top bit lies above all of down[y]; that top bit is
+    the guard.  A mask is its blocks' bytes joined, built in one pass
+    rather than one shift per block.  ``start`` is the empty family's state
+    (each block its down-set), ``ones`` sets every bit below each guard,
+    ``guards`` every guard, and ``keep[j]`` every bit but bit j ^ y of each
+    block y.
+    """
+    onehots = {}    # onehots[w][x]: w bytes with only bit x set
+    blocks = []     # blocks[y]: the one-bit blocks of block y's width
+    for d in lattice.down:
+        width = d.bit_length() // 8 + 1
+        if width not in onehots:
+            onehots[width] = [(1 << x).to_bytes(width, "little")
+                              for x in range(8 * width)]
+        blocks.append(onehots[width])
+
+    def packed(parts):
+        return int.from_bytes(b"".join(parts), "little")
+
+    start = packed([d.to_bytes(len(b[0]), "little")
+                    for d, b in zip(lattice.down, blocks)])
+    guards = packed([b[-1] for b in blocks])
+    ones = guards - packed([b[0] for b in blocks])
+    keep = [~packed(map(list.__getitem__, blocks, row))
+            for row in lattice.meet]
+    return start, ones, guards, keep
+
 
 def _brute_force(lattice, budget):
     """The family search as a verdict, within ``budget`` visited families.
+
+    Adding member j ANDs the packed state with ``keep[j]``, which clears
+    bit j ^ y of every block y.  Adding all-ones (every bit below the
+    guard) to a block carries into its guard exactly when the block is
+    nonzero, and the guard stops the carry there, so |Str(F)| is n less the
+    guard bits set in ``state + ones`` (counted by ``int.bit_count``, new
+    in Python 3.10).
 
     The empty family is the first unit of the budget.  Each branch may
     visit the budget less the families covered (visited or certified by
@@ -103,27 +145,20 @@ def _brute_force(lattice, budget):
     n = lattice.n
     if budget < 1:
         return SspVerdict(INCONCLUSIVE, None, None, 0)
-    down = lattice.down
-    add_bits = [[1 << m for m in row] for row in lattice.meet]
+    start, ones, guards, keep = _packed_masks(lattice)
     members = []
     witness = None
     covered = 1
 
-    def visit(j, str_cnt, unsat):
+    def visit(j, state):
         # add member j; False stops the search, so members is not popped
         nonlocal covered, left, witness
         if left <= 0:
             return False
         left -= 1
         covered += 1
-        nb = add_bits[j]
-        new_unsat = []
-        for y, r in unsat:
-            r |= nb[y]
-            if down[y] & ~r == 0:
-                str_cnt += 1
-            else:
-                new_unsat.append((y, r))
+        state &= keep[j]
+        str_cnt = n - ((state + ones) & guards).bit_count()
         members.append(j)
         size = len(members)
         if str_cnt < size:
@@ -136,14 +171,14 @@ def _brute_force(lattice, budget):
             covered += (1 << rem) - 1
         else:
             for k in range(j + 1, n):
-                if not visit(k, str_cnt, new_unsat):
+                if not visit(k, state):
                     return False
         members.pop()
         return True
 
     for first in range(n):
         left = budget - covered
-        if not visit(first, 0, [(y, 0) for y in range(n)]):
+        if not visit(first, start):
             break
     else:
         if covered != 1 << n:

@@ -22,8 +22,8 @@ from .errors import (
 from .mobius import mobius_table
 
 
-def realized_meets(lattice, family, y):
-    """Bitmask of the meets z ^ y over the members z of the family."""
+def _realized(lattice, family, y):
+    # realized_meets without the range check, for callers that made it
     got = 0
     row = lattice.meet[y]
     for z in family:
@@ -31,10 +31,18 @@ def realized_meets(lattice, family, y):
     return got
 
 
+def realized_meets(lattice, family, y):
+    """Bitmask of the meets z ^ y over the members z of the family."""
+    fam = tuple(family)
+    _check_elements(lattice.n, (y, *fam), "realized_meets")
+    return _realized(lattice, fam, y)
+
+
 def shatters(lattice, family, y):
     """True iff every x <= y equals z ^ y for some z in the family."""
-    _check_elements(lattice.n, (y, *family), "shatters")
-    return lattice.down[y] & ~realized_meets(lattice, family, y) == 0
+    fam = tuple(family)
+    _check_elements(lattice.n, (y, *fam), "shatters")
+    return lattice.down[y] & ~_realized(lattice, fam, y) == 0
 
 
 def shattered_set(lattice, family):
@@ -42,7 +50,7 @@ def shattered_set(lattice, family):
     fam = tuple(family)
     _check_elements(lattice.n, fam, "shattered_set")
     return frozenset(y for y in range(lattice.n)
-                     if lattice.down[y] & ~realized_meets(lattice, fam, y) == 0)
+                     if lattice.down[y] & ~_realized(lattice, fam, y) == 0)
 
 
 def vc_dim(lattice, family):
@@ -58,8 +66,10 @@ def vc_dim(lattice, family):
 
 def char_rows(lattice, row_elements, col_elements):
     """Rows chi_x (x in row_elements) restricted to the given columns."""
-    cols = list(col_elements)
-    return [[(lattice.up[x] >> y) & 1 for y in cols] for x in row_elements]
+    rows = tuple(row_elements)
+    cols = tuple(col_elements)
+    _check_elements(lattice.n, rows + cols, "char_rows")
+    return [[(lattice.up[x] >> y) & 1 for y in cols] for x in rows]
 
 
 def basis_check(lattice):

@@ -116,6 +116,10 @@ def test_monotonicity(corpus, rng):
     "shattered_set(b2, [4])",
     "shatters(b2, [0], -1)",
     "shatters(b2, [-1], 3)",
+    "realized_meets(b2, [-1], 3)",
+    "realized_meets(b2, [0], 4)",
+    "char_rows(b2, [-1], range(4))",
+    "char_rows(b2, [0], [4])",
     "vc_dim(b2, [-1])",
     "b2.leq(-1, 3)",
     "b2.leq(0, 4)",
@@ -135,7 +139,8 @@ def test_monotonicity(corpus, rng):
 def test_element_index_out_of_range(call):
     # a negative index would wrap to the top, a large one raise IndexError;
     # boolean(2) and the product of two boolean(1) both have 4 elements
-    names = {"b2": lv.boolean(2), "b1": lv.boolean(1), **vars(lv)}
+    names = {"b2": lv.boolean(2), "b1": lv.boolean(1),
+             "realized_meets": realized_meets, **vars(lv)}
     with pytest.raises(ValueError, match=r"is outside 0\.\.3$"):
         eval(call, names)
 

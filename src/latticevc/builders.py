@@ -10,7 +10,13 @@ coefficients, and the inclusion-maximal VC-1 family of subspaces.
 from dataclasses import dataclass
 from itertools import combinations, product as iproduct
 
-from .core import MAX_ELEMENTS, _bits, _check_size, from_covers
+from .core import (
+    MAX_ELEMENTS,
+    _bits,
+    _check_elements,
+    _check_size,
+    from_covers,
+)
 from .errors import (
     CheckFailed,
     DimensionTooSmall,
@@ -178,9 +184,11 @@ class MatroidSpec:
         isets = set(self.independents)
         if not isets:
             raise NotAMatroid("no independent sets (must contain the empty set)")
-        for s in isets:
-            if not all(0 <= x < self.ground_size for x in s):
-                raise NotAMatroid(f"independent set {sorted(s)} leaves the ground set")
+        try:
+            _check_elements(self.ground_size, frozenset().union(*isets),
+                            "independent set")
+        except ValueError as exc:
+            raise NotAMatroid(str(exc)) from None
         for s in isets:
             for x in s:
                 if s - {x} not in isets:

@@ -144,10 +144,10 @@ def from_covers(n, names, covers):
     if len(set(names)) != n:
         raise ValueError("element labels must be unique")
 
+    covers = list(covers)
+    _check_elements(n, [x for pair in covers for x in pair], "cover pair")
     parents = [[] for _ in range(n)]
     for c, p in covers:
-        if not (0 <= c < n and 0 <= p < n):
-            raise ValueError(f"cover pair ({c}, {p}) out of range")
         if c == p:
             raise NotAPoset(f"self-loop at element {names[c]!r}")
         parents[c].append(p)

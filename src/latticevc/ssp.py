@@ -50,15 +50,27 @@ def is_rc(lattice):
     """None when relatively complemented, else the first 3-element interval.
 
     Uses the interval characterization: a finite lattice is RC iff no pair
-    x < y has exactly one element strictly between.  Witnesses are scanned
-    in (x, y) index order, so the result is deterministic.
+    x < y has exactly one element strictly between.  Such an interval is a
+    two-step cover path x < z < y, so only the y reached from x by two
+    upper covers are tested, in ascending index for each x in turn.  Every
+    other pair x < y holds no witness, so the first witness in (x, y)
+    index order is the one a scan of all pairs would find, and the result
+    is deterministic.
     """
     up = lattice.up
     down = lattice.down
+    upper = [0] * lattice.n     # upper[x]: the elements covering x
+    for c, p in lattice.covers:
+        upper[c] |= 1 << p
     for x in range(lattice.n):
-        for y in _bits(up[x] & ~(1 << x)):
-            between = up[x] & down[y] & ~(1 << x) & ~(1 << y)
-            if between and between & (between - 1) == 0:
+        two_step = 0
+        for c in _bits(upper[x]):
+            two_step |= upper[c]
+        above = up[x] ^ (1 << x)
+        for y in _bits(two_step):
+            # nonempty: it holds the cover between x and y
+            between = (above & down[y]) ^ (1 << y)
+            if between & (between - 1) == 0:
                 return RcWitness(x, between.bit_length() - 1, y)
     return None
 
@@ -87,8 +99,22 @@ def non_rc_family(lattice, witness):
 # |Str(F)| >= |F| + remaining capacity, which certifies every superset in it.
 # The search stops at the first violating family.  One rule charges the
 # budget: each branch may visit the budget less the families covered so far
-# (see `_brute_force`).
+# (see `_brute_force`).  The walk is iterative, with an explicit path of
+# members and their states, so a deep branch cannot overflow the stack, and
+# a lattice whose masks would take more than MAX_PACKED_BYTES is refused as
+# Inconclusive before any mask is built.
 # ---------------------------------------------------------------------------
+
+# the cap on the bytes of the n packed masks: it admits boolean:9 (8.2 MiB)
+# and chain:700 (20.8 MiB), and refuses boolean:10 (64.6 MiB)
+MAX_PACKED_BYTES = 32 << 20
+
+
+def _packed_bytes(lattice):
+    """The bytes the n masks of `_packed_masks` would take, computed from
+    the block widths alone."""
+    return lattice.n * sum(d.bit_length() // 8 + 1 for d in lattice.down)
+
 
 def _packed_masks(lattice):
     """The masks of the packed state, as (start, ones, guards, keep).
@@ -132,6 +158,10 @@ def _brute_force(lattice, budget):
     guard bits set in ``state + ones`` (counted by ``int.bit_count``, new
     in Python 3.10).
 
+    The walk keeps the path from the root as two stacks, the members of
+    the current family and the states of its proper prefixes, and moves to
+    the next family in DFS order in a loop rather than by recursion.
+
     The empty family is the first unit of the budget.  Each branch may
     visit the budget less the families covered (visited or certified by
     pruning) so far, and the search stops when none is left.  Every earlier
@@ -140,54 +170,54 @@ def _brute_force(lattice, budget):
     leaves over, and the family counts of partial runs stay as pinned.  A
     capped branch can still complete by pruning and cover more than the
     budget; the next branch then starts below zero and stops at once.  The
-    first witness is re-verified.
+    first witness is re-verified.  A lattice whose masks would exceed
+    MAX_PACKED_BYTES is Inconclusive with no family examined.
     """
     n = lattice.n
-    if budget < 1:
+    if budget < 1 or _packed_bytes(lattice) > MAX_PACKED_BYTES:
         return SspVerdict(INCONCLUSIVE, None, None, 0)
     start, ones, guards, keep = _packed_masks(lattice)
-    members = []
-    witness = None
+    members = []        # the current family, ascending
+    states = [start]    # states[i]: the state of members[:i]
     covered = 1
-
-    def visit(j, state):
-        # add member j; False stops the search, so members is not popped
-        nonlocal covered, left, witness
+    j = 0               # the member to add next
+    while True:
+        if not members:
+            # a new branch, of least member j
+            if j == n:
+                break
+            left = budget - covered
         if left <= 0:
-            return False
+            return SspVerdict(INCONCLUSIVE, None, None, covered)
         left -= 1
         covered += 1
-        state &= keep[j]
+        state = states[-1] & keep[j]
         str_cnt = n - ((state + ones) & guards).bit_count()
         members.append(j)
         size = len(members)
         if str_cnt < size:
             witness = frozenset(members)
-            return False
+            _verify_witness(lattice, witness)
+            return SspVerdict(VIOLATED, None, witness, covered)
         rem = n - 1 - j
         if str_cnt >= size + rem:
             # every superset G in this subtree has |G| <= size + rem
             # <= |Str(F)| <= |Str(G)|, so nothing below can violate
             covered += (1 << rem) - 1
         else:
-            for k in range(j + 1, n):
-                if not visit(k, state):
-                    return False
-        members.pop()
-        return True
-
-    for first in range(n):
-        left = budget - covered
-        if not visit(first, start):
-            break
-    else:
-        if covered != 1 << n:
-            raise CheckFailed(f"search covered {covered} of 2^{n} families")
-        return SspVerdict(CERTIFIED, CERT_BRUTE, None, covered)
-    if witness is None:
-        return SspVerdict(INCONCLUSIVE, None, None, covered)
-    _verify_witness(lattice, witness)
-    return SspVerdict(VIOLATED, None, witness, covered)
+            # rem >= 1 here, since str_cnt >= size: descend to member j + 1
+            states.append(state)
+            j += 1
+            continue
+        # this family's subtree is done: go to its next sibling, climbing
+        # past every level whose last child it was
+        j = members.pop() + 1
+        while j == n and members:
+            j = members.pop() + 1
+            states.pop()
+    if covered != 1 << n:
+        raise CheckFailed(f"search covered {covered} of 2^{n} families")
+    return SspVerdict(CERTIFIED, CERT_BRUTE, None, covered)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from itertools import combinations, product as iproduct
 import pytest
 
 import latticevc as lv
+from latticevc.core import _bits
 from latticevc.search import canonical_key
 
 
@@ -83,6 +84,50 @@ def naive_violating_families(lattice):
         if len(naive_shattered_set(lattice, fam)) < len(fam):
             out.append(fam)
     return sorted(out, key=lambda f: (len(f), sum(1 << i for i in f)))
+
+
+def oracle_mobius_rows(lattice):
+    """The Mobius rows by the interval sum of the defining recurrence.
+
+    Row x is filled along the linear extension with mu(x, y) = -sum of
+    mu(x, z) over z in [x, y), one term per element; the other entries of
+    a row are 0.  ``mobius.mobius_table`` must produce the same rows.
+    """
+    up = lattice.up
+    down = lattice.down
+    rows = []
+    for x in range(lattice.n):
+        row = [0] * lattice.n
+        row[x] = 1
+        for y in lattice.linext:
+            if y != x and (up[x] >> y) & 1:
+                row[y] = -sum(row[z]
+                              for z in _bits(up[x] & down[y] & ~(1 << y)))
+        rows.append(row)
+    return rows
+
+
+def oracle_is_rc(lattice):
+    """The first 3-element interval over all pairs x < y in (x, y) index
+    order, or None; ``ssp.is_rc`` must return the same witness."""
+    up = lattice.up
+    down = lattice.down
+    for x in range(lattice.n):
+        for y in _bits(up[x] & ~(1 << x)):
+            between = up[x] & down[y] & ~(1 << x) & ~(1 << y)
+            if between and between & (between - 1) == 0:
+                return lv.RcWitness(x, between.bit_length() - 1, y)
+    return None
+
+
+def relabel(lattice, perm):
+    """The same order with element perm[i] moved to index i (labels are
+    dropped)."""
+    inv = [0] * lattice.n
+    for new, old in enumerate(perm):
+        inv[old] = new
+    covers = [(inv[c], inv[p]) for c, p in lattice.covers]
+    return lv.from_covers(lattice.n, None, covers)
 
 
 def naive_mobius(lattice):

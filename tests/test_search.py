@@ -8,7 +8,7 @@ import latticevc as lv
 from latticevc import cli, search, ssp
 from latticevc.errors import TooLarge
 
-from conftest import oracle_lattice_count, oracle_order_key
+from conftest import oracle_lattice_count, oracle_order_key, relabel
 
 
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222}
@@ -131,26 +131,17 @@ def test_enumeration_deterministic():
 # canonical form
 # ---------------------------------------------------------------------------
 
-def _relabel(lat, perm):
-    """The same order with element perm[i] moved to index i."""
-    inv = [0] * lat.n
-    for new, old in enumerate(perm):
-        inv[old] = new
-    covers = [(inv[c], inv[p]) for c, p in lat.covers]
-    return lv.from_covers(lat.n, None, covers)
-
-
 def test_isomorphism_invariant_under_relabeling():
     lat = lv.fig3b()
     # reverse the declaration order of everything except the forced bottom
     perm = [0] + list(range(lat.n - 1, 0, -1))
-    assert search.is_isomorphic(lat, _relabel(lat, perm))
+    assert search.is_isomorphic(lat, relabel(lat, perm))
     rng = random.Random(4)
     for lat in (lv.fig1(), lv.boolean(4), lv.product(lv.fig1(), lv.chain(1)),
                 lv.subspace_lattice(3, 2)):
         perm = list(range(lat.n))
         rng.shuffle(perm)
-        relabeled = _relabel(lat, perm)
+        relabeled = relabel(lat, perm)
         assert relabeled.up != lat.up
         assert search.canonical_key(relabeled) == search.canonical_key(lat)
     # every lattice of up to 7 elements: the (down-set size, up-set size)
@@ -159,7 +150,7 @@ def test_isomorphism_invariant_under_relabeling():
         for lat in lv.enumerate_lattices(n):
             perm = list(range(lat.n))
             rng.shuffle(perm)
-            assert (search.canonical_key(_relabel(lat, perm))
+            assert (search.canonical_key(relabel(lat, perm))
                     == search.canonical_key(lat))
 
 
@@ -214,7 +205,7 @@ def test_canonical_key_on_symmetric_lattice():
     perm = list(range(lat.n))
     perm[1], perm[5] = perm[5], perm[1]
     perm[9], perm[12] = perm[12], perm[9]
-    assert search.canonical_key(_relabel(lat, perm)) == key
+    assert search.canonical_key(relabel(lat, perm)) == key
     # M_k (bottom, k atoms, top), relabeled: one colour class of k twin
     # atoms, with a closed-form key; the oracle on M_9 visits 9! tied leaves
     rng = random.Random(6)
@@ -223,7 +214,7 @@ def test_canonical_key_on_symmetric_lattice():
                              + [(a, k + 1) for a in range(1, k + 1)])
         perm = list(range(k + 2))
         rng.shuffle(perm)
-        lat = _relabel(m_k, perm)
+        lat = relabel(m_k, perm)
         assert lat.up != m_k.up
         expect = (k + 2, (0,) + tuple(1 << a for a in range(k))
                   + ((1 << (k + 1)) - 1,))

@@ -1,4 +1,9 @@
 import hashlib
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +19,13 @@ from latticevc.errors import (
     PreconditionViolated,
 )
 
-from conftest import naive_shattered_set, naive_violating_families, random_family
+from conftest import (
+    naive_shattered_set,
+    naive_violating_families,
+    oracle_is_rc,
+    random_family,
+    relabel,
+)
 
 
 def all_families(lattice):
@@ -50,6 +61,24 @@ def test_auto_verdict_carries_rc_status():
         for lat in lv.enumerate_lattices(n):
             kind = lv.is_ssp(lat).certificate_kind
             assert (lv.is_rc(lat) is None) == (kind != ssp.CERT_NON_RC)
+
+
+def test_is_rc_matches_all_pairs_oracle(corpus):
+    # the two-step cover walk finds the witness that the scan of all pairs
+    # finds first, on every lattice with n <= 8 and the corpus, as met and
+    # under two seeded relabelings
+    lattices = [lat for n in range(1, 9) for lat in lv.enumerate_lattices(n)]
+    lattices += corpus.values()
+    rng = random.Random(16)
+    for lat in lattices:
+        cases = [lat]
+        for _ in range(2):
+            perm = list(range(lat.n))
+            rng.shuffle(perm)
+            cases.append(relabel(lat, perm))
+        for case in cases:
+            assert lv.is_rc(case) == oracle_is_rc(case), (
+                lv.emit_lattice_text(case))
 
 
 def test_non_rc_family_path():
@@ -168,6 +197,35 @@ def test_in_process_search_stops_at_first_witness():
     verdict = lv.is_ssp(lat, "brute")
     assert (verdict.outcome, verdict.families_examined) == (ssp.VIOLATED, 54)
     assert min(verdict.witness) == 0
+
+
+def test_family_search_needs_no_recursion():
+    # chain:300 is searched 300 members deep; a search that recursed once
+    # per member would raise RecursionError under a limit of 200 frames
+    verdict = lv.is_ssp(lv.chain(300), "brute", budget=1000)
+    assert (verdict.outcome, verdict.families_examined) == (ssp.VIOLATED, 305)
+    src = Path(lv.__file__).resolve().parents[1]
+    code = ("import sys, latticevc as lv; sys.setrecursionlimit(200); "
+            "v = lv.is_ssp(lv.chain(300), 'brute', budget=1000); "
+            "print(v.outcome, v.families_examined, sorted(v.witness))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == (f"{verdict.outcome} {verdict.families_examined} "
+                             f"{sorted(verdict.witness)}\n")
+
+
+def test_oversized_masks_refused_before_allocation(monkeypatch):
+    def _must_not_run(lattice):
+        raise AssertionError("the masks were built")
+
+    fig2 = lv.fig2()
+    assert ssp._packed_bytes(lv.boolean(9)) <= ssp.MAX_PACKED_BYTES
+    monkeypatch.setattr(ssp, "_packed_masks", _must_not_run)
+    monkeypatch.setattr(ssp, "MAX_PACKED_BYTES", ssp._packed_bytes(fig2) - 1)
+    # one byte over the cap: Inconclusive, with no family examined
+    verdict = lv.is_ssp(fig2, "brute")
+    assert verdict == ssp.SspVerdict(ssp.INCONCLUSIVE, None, None, 0)
 
 
 @pytest.mark.parametrize("spec, budget, expected", [

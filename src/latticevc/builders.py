@@ -151,10 +151,13 @@ def subspace_lattice(q, n):
                 f"subspace_lattice({q}, {n})")
     subs = _subspaces(q, n)
     vecsets = [s.vectors() for s in subs]
-    dims = [s.dim() for s in subs]
-    covers = [(i, j)
-              for i, a in enumerate(vecsets) for j, b in enumerate(vecsets)
-              if dims[j] == dims[i] + 1 and a <= b]
+    # a cover raises the dimension by one, so each subspace is compared
+    # only with those of the next dimension
+    by_dim = [[] for _ in range(n + 2)]
+    for i, s in enumerate(subs):
+        by_dim[s.dim()].append(i)
+    covers = [(i, j) for i, s in enumerate(subs) for j in by_dim[s.dim() + 1]
+              if vecsets[i] <= vecsets[j]]
     return from_covers(len(subs), [s.name() for s in subs], covers)
 
 

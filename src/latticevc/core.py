@@ -1,14 +1,17 @@
 """Finite meet-semilattices and lattices on dense integer indices.
 
 Elements are indices 0..n-1 with string labels.  The order relation, cover
-pairs, the meet table and the (optional) rank function are all computed and
-validated at construction time; instances are immutable afterwards.  With a
-top the structure is a lattice: x v y = a exactly when up[x] & up[y] == up[a].
+pairs and the (optional) rank function are computed and validated at
+construction time, and so is the existence of every meet; instances are
+immutable afterwards.  Meets are read from one map: x ^ y is the element
+whose down-set is down[x] & down[y].  With a top the structure is a
+lattice: x v y = a exactly when up[x] & up[y] == up[a].
 
 Bitmask convention used throughout the package: bit y of ``up[x]`` is set
 iff x <= y, and bit x of ``down[y]`` is set iff x <= y.
 """
 
+import functools
 import heapq
 
 from .errors import (
@@ -24,7 +27,9 @@ from .errors import (
 
 _LABEL_BAD_CHARS = set(", \t\r\n#")
 
-# the element cap: it keeps the n x n meet table under 4.2 M entries
+# the element cap bounds the quadratic part of a structure: its n order
+# masks of n bits each, and the Mobius table and (once read) the meet table
+# of up to n^2 entries, 4.2 M at the cap
 MAX_ELEMENTS = 2048
 
 
@@ -69,28 +74,38 @@ class Lattice:
     names    : tuple of labels, index = position
     up, down : tuples of up-set / down-set bitmasks
     covers   : tuple of (child, parent) pairs, the transitive reduction
-    meet     : n x n tuple-of-tuples meet table
+    element  : dict from each down-set mask to its element, so the meet of
+               x and y is element[down[x] & down[y]]
+    meet     : n x n tuple-of-tuples meet table, built from ``element`` on
+               first access
     bottom   : index of the unique minimal element
     top      : index of the maximal element, or None (not a lattice)
     rank     : tuple of ranks, or None when no consistent rank exists
     linext   : a fixed linear extension (tuple of indices)
 
     Construct through :func:`from_covers`; the constructor trusts its inputs.
+    Construction has checked that every pair has a meet
+    (:func:`_check_meets`), so ``element`` holds every down[x] & down[y].
     """
 
-    def __init__(self, n, names, up, down, covers, meet, bottom, top, rank,
+    def __init__(self, n, names, up, down, covers, element, bottom, top, rank,
                  linext):
         self.n = n
         self.names = names
         self.up = up
         self.down = down
         self.covers = covers
-        self.meet = meet
+        self.element = element
         self.bottom = bottom
         self.top = top
         self.rank = rank
         self.linext = linext
         self._index = {nm: i for i, nm in enumerate(names)}
+
+    @functools.cached_property
+    def meet(self):
+        """The n x n meet table, built on first access."""
+        return tuple(map(tuple, _meet_rows(self)))
 
     def leq(self, x, y):
         _check_elements(self.n, (x, y), "leq")
@@ -114,6 +129,15 @@ class Lattice:
     def __repr__(self):
         kind = "lattice" if self.top is not None else "meet-semilattice"
         return f"<{kind} n={self.n} bottom={self.names[self.bottom]!r}>"
+
+
+def _meet_rows(lattice):
+    """Row x of the meet table for each x in turn, each an iterator that
+    reads its entries from ``lattice.element``."""
+    element = lattice.element
+    down = lattice.down
+    for d in down:
+        yield map(element.__getitem__, map(d.__and__, down))
 
 
 def from_covers(n, names, covers):
@@ -187,32 +211,41 @@ def _linear_extension(parents):
 def _from_down_masks(names, down):
     """Trusted constructor from reflexive, transitive down-set masks.
 
-    Derives the up-sets, checks for a unique bottom and for meets, and
-    computes the covers (the transitive reduction), the linear extension
+    Checks for a unique bottom, computes the covers (the transitive
+    reduction) from the down-sets, checks for meets on them
+    (:func:`_check_meets`), computes the linear extension
     (:func:`_linear_extension` of the covers) and the rank in one loop over
-    it.  Outside input goes through :func:`from_covers`.
+    it, and the up-sets in one loop back.  Outside input goes through
+    :func:`from_covers`.
     """
     n = len(names)
-    up = [0] * n
-    for y, mask in enumerate(down):
-        for x in _bits(mask):
-            up[x] |= 1 << y
-
     minimals = [x for x in range(n) if down[x] == 1 << x]
     if len(minimals) != 1:
         raise NoBottom(f"{len(minimals)} minimal elements: "
                        + ", ".join(names[x] for x in minimals))
     bottom = minimals[0]
 
-    # transitive reduction
-    red = []
+    # transitive reduction: the lower covers of y are the elements of its
+    # strict down-set below no other one.  Each step takes the highest
+    # index z left and drops down[z]; when index order extends the order,
+    # as it does for the builders and the enumerator, the steps take
+    # exactly the lower covers, and otherwise more steps give the same set
+    strict = [mask ^ (1 << y) for y, mask in enumerate(down)]
+    lower = []
     parents = [[] for _ in range(n)]
-    for x in range(n):
-        for y in _bits(up[x] & ~(1 << x)):
-            if up[x] & down[y] & ~(1 << x) & ~(1 << y) == 0:
-                red.append((x, y))
-                parents[x].append(y)
-    red = tuple(red)
+    for y, rest in enumerate(strict):
+        below = 0
+        while rest:
+            z = rest.bit_length() - 1
+            below |= strict[z]
+            rest &= ~down[z]
+        lower.append(list(_bits(strict[y] & ~below)))
+        for x in lower[y]:
+            parents[x].append(y)
+
+    maximals = [x for x in range(n) if not parents[x]]
+    element = dict(zip(down, range(n)))
+    _check_meets(names, down, element, lower + [maximals])
 
     # each cover (x, p) proposes rank(x) + 1 for p, and two different
     # proposals for the same p leave the structure unranked
@@ -227,15 +260,18 @@ def _from_down_masks(names, down):
             elif rank[p] != rank[x] + 1:
                 ranked = False
 
-    maximals = [x for x in range(n) if up[x] == 1 << x]
+    up = [1 << x for x in range(n)]
+    for x in reversed(order):
+        for p in parents[x]:
+            up[x] |= up[p]
 
     return Lattice(
         n=n,
         names=names,
         up=tuple(up),
         down=tuple(down),
-        covers=red,
-        meet=_meet_table(n, down, names),
+        covers=tuple((x, p) for x in range(n) for p in parents[x]),
+        element=element,
         bottom=bottom,
         top=maximals[0] if len(maximals) == 1 else None,
         rank=tuple(rank) if ranked else None,
@@ -243,26 +279,33 @@ def _from_down_masks(names, down):
     )
 
 
-def _meet_table(n, down, names):
-    """The meet table.
+def _check_meets(names, down, element, groups):
+    """Raise NotMeetSemilattice unless every pair of elements has a meet.
 
-    The meet of x, y is the element whose down-set is down[x] & down[y]; the
-    masks are distinct, so a ``{mask: element}`` dict finds it or shows that
-    the pair has no unique greatest common lower bound.
+    The meet of x and y exists exactly when down[x] & down[y] is the
+    down-set of an element, a key of ``element``.  Only the pairs within
+    one of ``groups`` are tested: the lower covers of each element, and the
+    maximal elements (the lower covers of a virtual top).  That suffices.
+    Were some pair without a meet, take z minimal among the common upper
+    bounds of such pairs (the virtual top when none has one), a pair a, b
+    under it, and lower covers a' >= a and b' >= b of z.  Then c = a' ^ b'
+    exists (a tested pair), d = a ^ c exists (a pair under a' < z), e =
+    d ^ b exists (a pair under b' < z), and e is the meet of a and b.
+
+    Only when a tested pair fails are all pairs scanned, in index order, so
+    the error names the first pair without a meet in that order.
     """
-    element = {mask: x for x, mask in enumerate(down)}
-    table = [[0] * n for _ in range(n)]
-    for x in range(n):
-        table[x][x] = x
-        for y in range(x + 1, n):
-            m = element.get(down[x] & down[y])
-            if m is None:
-                raise NotMeetSemilattice(
-                    f"elements {names[x]!r}, {names[y]!r} have no unique "
-                    "greatest common lower bound"
-                )
-            table[x][y] = table[y][x] = m
-    return tuple(map(tuple, table))
+    for group in groups:
+        for i, a in enumerate(group):
+            for b in group[i + 1:]:
+                if down[a] & down[b] not in element:
+                    x, y = next(
+                        (x, y) for x in range(len(down))
+                        for y in range(x + 1, len(down))
+                        if down[x] & down[y] not in element)
+                    raise NotMeetSemilattice(
+                        f"elements {names[x]!r}, {names[y]!r} have no "
+                        "unique greatest common lower bound")
 
 
 def interval(lattice, x, y):

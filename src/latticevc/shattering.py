@@ -25,9 +25,11 @@ from .mobius import mobius_table
 def _realized(lattice, family, y):
     # realized_meets without the range check, for callers that made it
     got = 0
-    row = lattice.meet[y]
+    element = lattice.element
+    down = lattice.down
+    below = down[y]
     for z in family:
-        got |= 1 << row[z]
+        got |= 1 << element[below & down[z]]
     return got
 
 

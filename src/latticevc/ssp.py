@@ -9,7 +9,7 @@ sound subset pruning.
 
 from dataclasses import dataclass
 
-from .core import _bits, _check_elements, product
+from .core import _bits, _check_elements, _meet_rows, product
 from .errors import (
     CheckFailed,
     FactorNotSSP,
@@ -144,7 +144,7 @@ def _packed_masks(lattice):
     guards = packed([b[-1] for b in blocks])
     ones = guards - packed([b[0] for b in blocks])
     keep = [~packed(map(list.__getitem__, blocks, row))
-            for row in lattice.meet]
+            for row in _meet_rows(lattice)]
     return start, ones, guards, keep
 
 
@@ -260,6 +260,9 @@ def is_ssp(lattice, strategy="auto", budget=DEFAULT_BUDGET):
     interval [x, y] with mu(x, y) = 0, so no certificate applies to it).
     Resource exhaustion yields Inconclusive, never an exception.  Every
     Violated verdict is re-verified from the definition before returning.
+    The certificates read no meet, so a certified lattice never builds its
+    meet table; the witness checks and the family search read meets from
+    ``lattice.element``.
     """
     if strategy not in ("auto", "brute", "certificate"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -424,7 +427,9 @@ def one_minimal_check(lattice, family):
     realized = realized_meets(lattice, fam, x)
     y = next(c for c in lattice.linext
              if lattice.leq(c, x) and not (realized >> c) & 1)
-    dset = frozenset(u for u in range(lattice.n) if lattice.meet[x][u] == y)
+    down = lattice.down
+    dset = frozenset(u for u in range(lattice.n)
+                     if down[x] & down[u] == down[y])
     if dset & fam:
         raise CheckFailed("D intersects the family despite the choice of y")
 
@@ -433,7 +438,7 @@ def one_minimal_check(lattice, family):
     for a in sorted(nset):
         comp = next((c for c in lattice.linext
                      if lattice.leq(y, c) and lattice.leq(c, a)
-                     and lattice.meet[c][x] == y
+                     and down[c] & down[x] == down[y]
                      and lattice.up[c] & lattice.up[x] == lattice.up[a]),
                     None)
         if comp is None:

@@ -12,6 +12,7 @@ import pytest
 
 import latticevc as lv
 from latticevc.core import _bits
+from latticevc.errors import NotMeetSemilattice
 from latticevc.search import canonical_key
 
 
@@ -58,6 +59,31 @@ def rng():
 # ---------------------------------------------------------------------------
 # oracles
 # ---------------------------------------------------------------------------
+
+def oracle_meet_table(names, down):
+    """The meet table by one lookup per unordered pair, in index order.
+
+    The meet of x, y is the element whose down-set is down[x] & down[y];
+    the masks are distinct, so a ``{mask: element}`` dict finds it or shows
+    that the pair has no unique greatest common lower bound.  The first
+    such pair raises NotMeetSemilattice with the message construction must
+    give.
+    """
+    n = len(down)
+    element = {mask: x for x, mask in enumerate(down)}
+    table = [[0] * n for _ in range(n)]
+    for x in range(n):
+        table[x][x] = x
+        for y in range(x + 1, n):
+            m = element.get(down[x] & down[y])
+            if m is None:
+                raise NotMeetSemilattice(
+                    f"elements {names[x]!r}, {names[y]!r} have no unique "
+                    "greatest common lower bound"
+                )
+            table[x][y] = table[y][x] = m
+    return tuple(map(tuple, table))
+
 
 def naive_shatters(lattice, family, y):
     """Definition-level quantifier loops, no bitmask tricks."""

@@ -18,8 +18,9 @@ from latticevc.errors import (
     TooLarge,
 )
 from latticevc.search import canonical_key
+from latticevc.shattering import realized_meets
 
-from conftest import build_corpus
+from conftest import build_corpus, oracle_meet_table
 
 
 def test_from_covers_path():
@@ -85,6 +86,138 @@ def test_from_covers_rejects_non_semilattice():
         lv.from_covers(5, None, [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4)])
     assert str(exc.value) == (
         "elements '3', '4' have no unique greatest common lower bound")
+
+
+def test_bounded_non_lattice_message():
+    # 0 < {5, 6} < {3, 4} < {1, 2} < 7, each level above both of the level
+    # below: the cover check first fails on 3, 4 (the lower covers of 1),
+    # and the message names 1, 2, the first pair in index order
+    covers = [(0, 5), (0, 6), (5, 3), (6, 3), (5, 4), (6, 4),
+              (3, 1), (4, 1), (3, 2), (4, 2), (1, 7), (2, 7)]
+    with pytest.raises(NotMeetSemilattice) as exc:
+        lv.from_covers(8, None, covers)
+    assert str(exc.value) == (
+        "elements '1', '2' have no unique greatest common lower bound")
+
+
+def _bottomed_posets(n):
+    """Down-set masks of every poset on 0..n-1 with bottom 0 in which each
+    element comes after those below it: each element's strict down-set is
+    an order ideal of the elements before it that holds 0."""
+    def extend(down):
+        if len(down) == n:
+            yield down
+            return
+        i = len(down)
+        for ideal in range(1, 1 << i, 2):
+            if all(down[x] & ~ideal == 0 for x in _bits(ideal)):
+                yield from extend(down + [ideal | 1 << i])
+
+    yield from extend([1])
+
+
+def _meet_outcome(build, down):
+    """What ``build(names, down)`` returns, or the message it raises."""
+    try:
+        return build(tuple(map(str, range(len(down)))), down)
+    except NotMeetSemilattice as exc:
+        return str(exc)
+
+
+def _assert_meet_check_agrees(down):
+    """Construction and the pairwise oracle raise the same message, or
+    both accept the masks with the same meet table; True when accepted."""
+    got = _meet_outcome(core._from_down_masks, down)
+    want = _meet_outcome(oracle_meet_table, down)
+    if isinstance(got, str):
+        assert got == want, down
+        return False
+    assert got.meet == want, down
+    return True
+
+
+def test_meet_check_matches_oracle_exhaustive():
+    accepted = rejected = 0
+    for n in range(1, 8):
+        for down in _bottomed_posets(n):
+            variants = [down]
+            if n < 7:
+                variants.append(down + [(1 << (n + 1)) - 1])  # a top
+            for masks in variants:
+                if _assert_meet_check_agrees(masks):
+                    accepted += 1
+                else:
+                    rejected += 1
+    # 1 + 1 + 2 + 7 + 40 + 357 + 4824 posets, 408 of them with a top added
+    assert accepted + rejected == 5232 + 408
+    assert accepted > 500 and rejected > 1000
+
+
+def _random_posets(count):
+    """Seeded down-set masks of posets of 2 to 13 elements with a bottom,
+    half of them with a top added, relabeled at random so that index order
+    need not be a linear extension."""
+    rng = random.Random(17)
+    for _ in range(count):
+        n = rng.randint(2, 12)
+        density = rng.random()
+        down = [1]
+        for i in range(1, n):
+            mask = 1 | 1 << i
+            for j in range(1, i):
+                if rng.random() < density:
+                    mask |= down[j]
+            down.append(mask)
+        if rng.random() < 0.5:
+            down.append((1 << (n + 1)) - 1)
+        perm = list(range(len(down)))
+        rng.shuffle(perm)
+        moved = [0] * len(down)
+        for x, mask in enumerate(down):
+            moved[perm[x]] = sum(1 << perm[z] for z in _bits(mask))
+        yield moved
+
+
+def test_meet_check_matches_oracle_random():
+    outcomes = [0, 0]
+    for down in _random_posets(3000):
+        outcomes[_assert_meet_check_agrees(down)] += 1
+    assert min(outcomes) > 300
+
+
+def test_order_fields_match_definition():
+    # up-sets, covers and linear extension of masks in any index order
+    checked = 0
+    for down in _random_posets(1000):
+        n = len(down)
+        try:
+            lat = core._from_down_masks(tuple(map(str, range(n))), down)
+        except NotMeetSemilattice:
+            continue
+        up = tuple(sum(1 << y for y in range(n) if down[y] >> x & 1)
+                   for x in range(n))
+        assert lat.up == up
+        assert lat.covers == tuple(
+            (x, y) for x in range(n) for y in range(n)
+            if x != y and up[x] & down[y] == 1 << x | 1 << y)
+        position = {x: i for i, x in enumerate(lat.linext)}
+        assert sorted(position) == list(range(n))
+        assert all(position[x] < position[y] for x, y in lat.covers)
+        checked += 1
+    assert checked > 500
+
+
+def test_meets_equal_oracle_table():
+    for lat in [*build_corpus().values(),
+                *(lat for n in range(1, 8) for lat in lv.enumerate_lattices(n))]:
+        table = oracle_meet_table(lat.names, lat.down)
+        assert lat.meet == table
+        everyone = range(lat.n)
+        for y in everyone:
+            for z in everyone:
+                assert realized_meets(lat, [z], y) == 1 << table[z][y]
+            assert realized_meets(lat, everyone, y) == sum(
+                1 << m for m in set(table[y]))
 
 
 def test_from_covers_normalizes_redundant_edges():

@@ -140,6 +140,15 @@ def test_boolean_nonvanishing_certificate():
                                                            ssp.CERT_NONVANISHING)
 
 
+def test_certificate_route_builds_no_meet_table():
+    # the Mobius certificates read no meet, so the table is never built
+    lat = lv.boolean(9)
+    verdict = lv.is_ssp(lat, "auto")
+    assert (verdict.outcome, verdict.certificate_kind) == (
+        ssp.CERTIFIED, ssp.CERT_NONVANISHING)
+    assert "meet" not in vars(lat)
+
+
 def test_path_auto_violated():
     verdict = lv.is_ssp(lv.chain(2), "auto")
     assert verdict.outcome == ssp.VIOLATED

@@ -93,16 +93,16 @@ def _int_args(spec, count):
 
 
 def _element(lattice, token):
-    """Resolve an element: the keywords bottom/top, then an exact label."""
-    if token == "bottom":
-        return lattice.bottom
-    if token == "top":
-        if lattice.top is None:
-            raise UsageError("this structure has no top element")
-        return lattice.top
+    """Resolve an element: an exact label, then the keywords bottom/top."""
     try:
         return lattice.index(token)
     except ValueError as exc:
+        if token == "bottom":
+            return lattice.bottom
+        if token == "top":
+            if lattice.top is None:
+                raise UsageError("this structure has no top element") from None
+            return lattice.top
         raise UsageError(str(exc)) from None
 
 

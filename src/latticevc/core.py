@@ -11,7 +11,6 @@ Bitmask convention used throughout the package: bit y of ``up[x]`` is set
 iff x <= y, and bit x of ``down[y]`` is set iff x <= y.
 """
 
-import functools
 import heapq
 
 from .errors import (
@@ -25,11 +24,9 @@ from .errors import (
     TooLarge,
 )
 
-_LABEL_BAD_CHARS = set(", \t\r\n#")
-
 # the element cap bounds the quadratic part of a structure: its n order
-# masks of n bits each, and the Mobius table and (once read) the meet table
-# of up to n^2 entries, 4.2 M at the cap
+# masks of n bits each, and the Mobius table of up to n^2 entries, 4.2 M at
+# the cap
 MAX_ELEMENTS = 2048
 
 
@@ -50,7 +47,7 @@ def _check_elements(n, elements, what):
 
 
 def _check_label(label):
-    if not label or any(ch in _LABEL_BAD_CHARS for ch in label):
+    if not label or any(ch.isspace() or ch in ",#" for ch in label):
         raise ValueError(
             f"bad element label {label!r}: labels are non-empty and may not "
             "contain whitespace, commas or '#'"
@@ -76,8 +73,6 @@ class Lattice:
     covers   : tuple of (child, parent) pairs, the transitive reduction
     element  : dict from each down-set mask to its element, so the meet of
                x and y is element[down[x] & down[y]]
-    meet     : n x n tuple-of-tuples meet table, built from ``element`` on
-               first access
     bottom   : index of the unique minimal element
     top      : index of the maximal element, or None (not a lattice)
     rank     : tuple of ranks, or None when no consistent rank exists
@@ -102,11 +97,6 @@ class Lattice:
         self.linext = linext
         self._index = {nm: i for i, nm in enumerate(names)}
 
-    @functools.cached_property
-    def meet(self):
-        """The n x n meet table, built on first access."""
-        return tuple(map(tuple, _meet_rows(self)))
-
     def leq(self, x, y):
         _check_elements(self.n, (x, y), "leq")
         return (self.up[x] >> y) & 1 == 1
@@ -129,15 +119,6 @@ class Lattice:
     def __repr__(self):
         kind = "lattice" if self.top is not None else "meet-semilattice"
         return f"<{kind} n={self.n} bottom={self.names[self.bottom]!r}>"
-
-
-def _meet_rows(lattice):
-    """Row x of the meet table for each x in turn, each an iterator that
-    reads its entries from ``lattice.element``."""
-    element = lattice.element
-    down = lattice.down
-    for d in down:
-        yield map(element.__getitem__, map(d.__and__, down))
 
 
 def from_covers(n, names, covers):

@@ -33,7 +33,7 @@ class MobiusTable:
     def mu(self, x, y):
         lat = self.lattice
         _check_elements(lat.n, (x, y), "mu")
-        if not lat.leq(x, y):
+        if not (lat.up[x] >> y) & 1:
             raise ValueError(
                 f"mu undefined: {lat.names[x]!r} is not below "
                 f"{lat.names[y]!r}")
@@ -94,11 +94,14 @@ def check_inversion(lattice, g, table=None):
 
     ``g`` is indexed by element; summation over up-sets defines f, and the
     mu-weighted sums must recover g exactly.  The dual (down-set) direction
-    is checked too.  Returns True iff both recoveries are exact.
+    is checked too.  Returns True iff both recoveries are exact.  Raises
+    ValueError unless ``g`` holds exactly one value per element.
     """
+    n = lattice.n
+    if len(g) != n:
+        raise ValueError(f"expected {n} values of g, got {len(g)}")
     if table is None:
         table = mobius_table(lattice)
-    n = lattice.n
     up = lattice.up
     down = lattice.down
     f_up = [sum(g[y] for y in _bits(up[x])) for x in range(n)]

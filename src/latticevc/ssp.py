@@ -9,7 +9,7 @@ sound subset pruning.
 
 from dataclasses import dataclass
 
-from .core import _bits, _check_elements, _meet_rows, product
+from .core import _bits, _check_elements, product
 from .errors import (
     CheckFailed,
     FactorNotSSP,
@@ -127,9 +127,11 @@ def _packed_masks(lattice):
     ``guards`` every guard, and ``keep[j]`` every bit but bit j ^ y of each
     block y.
     """
+    down = lattice.down
+    element = lattice.element
     onehots = {}    # onehots[w][x]: w bytes with only bit x set
     blocks = []     # blocks[y]: the one-bit blocks of block y's width
-    for d in lattice.down:
+    for d in down:
         width = d.bit_length() // 8 + 1
         if width not in onehots:
             onehots[width] = [(1 << x).to_bytes(width, "little")
@@ -140,11 +142,12 @@ def _packed_masks(lattice):
         return int.from_bytes(b"".join(parts), "little")
 
     start = packed([d.to_bytes(len(b[0]), "little")
-                    for d, b in zip(lattice.down, blocks)])
+                    for d, b in zip(down, blocks)])
     guards = packed([b[-1] for b in blocks])
     ones = guards - packed([b[0] for b in blocks])
-    keep = [~packed(map(list.__getitem__, blocks, row))
-            for row in _meet_rows(lattice)]
+    keep = [~packed(map(list.__getitem__, blocks,
+                        map(element.__getitem__, map(d.__and__, down))))
+            for d in down]
     return start, ones, guards, keep
 
 
@@ -260,9 +263,9 @@ def is_ssp(lattice, strategy="auto", budget=DEFAULT_BUDGET):
     interval [x, y] with mu(x, y) = 0, so no certificate applies to it).
     Resource exhaustion yields Inconclusive, never an exception.  Every
     Violated verdict is re-verified from the definition before returning.
-    The certificates read no meet, so a certified lattice never builds its
-    meet table; the witness checks and the family search read meets from
-    ``lattice.element``.
+    The certificates read no meet; the witness checks and the family
+    search read each meet x ^ y from ``lattice.element`` as the element
+    whose down-set is down[x] & down[y].
     """
     if strategy not in ("auto", "brute", "certificate"):
         raise ValueError(f"unknown strategy {strategy!r}")

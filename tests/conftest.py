@@ -5,6 +5,7 @@ The oracles here deliberately re-derive results by definition-level loops
 checked against something that cannot share their bugs.
 """
 
+import functools
 import random
 from itertools import combinations, product as iproduct
 
@@ -85,13 +86,25 @@ def oracle_meet_table(names, down):
     return tuple(map(tuple, table))
 
 
+@functools.lru_cache(maxsize=512)
+def _cached_meet_table(names, down):
+    return oracle_meet_table(names, down)
+
+
+def oracle_meets(lattice):
+    """``oracle_meet_table`` of a lattice's down-sets, computed once per
+    lattice: ground truth that does not read ``lattice.element``."""
+    return _cached_meet_table(lattice.names, lattice.down)
+
+
 def naive_shatters(lattice, family, y):
     """Definition-level quantifier loops, no bitmask tricks."""
     fam = list(family)
+    meet = oracle_meets(lattice)
     for x in range(lattice.n):
         if not lattice.leq(x, y):
             continue
-        if not any(lattice.meet[z][y] == x for z in fam):
+        if not any(meet[z][y] == x for z in fam):
             return False
     return True
 

@@ -11,7 +11,11 @@ from itertools import combinations
 
 import latticevc as lv
 from latticevc import cli, ssp
-from conftest import naive_violating_families, oracle_lattice_count
+from conftest import (
+    naive_violating_families,
+    oracle_lattice_count,
+    oracle_meets,
+)
 
 
 def _report(num, elapsed, detail):
@@ -26,6 +30,7 @@ def all_families(lattice):
 def max_family_size_by_vc(lattice):
     """Largest family size per VC dimension, over every non-empty family."""
     n = lattice.n
+    meet = oracle_meets(lattice)
     groups = []
     for y in sorted(range(n), key=lambda y: -lattice.rank[y]):
         masks = []
@@ -33,7 +38,7 @@ def max_family_size_by_vc(lattice):
             if lattice.leq(x, y):
                 m = 0
                 for z in range(n):
-                    if lattice.meet[z][y] == x:
+                    if meet[z][y] == x:
                         m |= 1 << z
                 masks.append(m)
         groups.append((lattice.rank[y], masks))
@@ -145,6 +150,7 @@ def test_criterion_04_tightness():
     # 100000-family random sample checked directly
     pg = lv.subspace_lattice(2, 3)
     assert lv.vanishing_pairs(pg) == []
+    meet = oracle_meets(pg)
     groups = []
     for y in sorted(range(pg.n), key=lambda y: -pg.rank[y]):
         masks = []
@@ -152,7 +158,7 @@ def test_criterion_04_tightness():
             if pg.leq(x, y):
                 m = 0
                 for z in range(pg.n):
-                    if pg.meet[z][y] == x:
+                    if meet[z][y] == x:
                         m |= 1 << z
                 masks.append(m)
         groups.append((pg.rank[y], masks))
@@ -254,6 +260,7 @@ def test_criterion_09_one_minimal():
     for lat in corpus:
         assert lat.n <= 12
         assert lv.is_rc(lat) is None
+        meet = oracle_meets(lat)
         for fam in all_families(lat):
             sset = lv.shattered_set(lat, fam)
             nset = frozenset(range(lat.n)) - sset
@@ -266,7 +273,7 @@ def test_criterion_09_one_minimal():
             assert report.family_size <= report.shattered_size
             targets = set()
             for a, c in report.injection:
-                assert lat.meet[c][report.x] == report.y
+                assert meet[c][report.x] == report.y
                 assert lat.up[c] & lat.up[report.x] == lat.up[a]
                 assert c in report.meets_at_y
                 targets.add(c)

@@ -108,7 +108,7 @@ def test_subspace_meet_is_intersection():
     vecsets = vector_sets(2, 2)
     for x in range(lat.n):
         for y in range(lat.n):
-            m = lat.meet[x][y]
+            m = lat.element[lat.down[x] & lat.down[y]]
             assert vecsets[m] == vecsets[x] & vecsets[y]
 
 

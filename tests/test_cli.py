@@ -128,6 +128,24 @@ def test_shatter_and_vc():
     assert (code, out) == (0, "2\n")
 
 
+def test_label_wins_over_keyword(tmp_path):
+    # a diamond whose atoms are labelled top and bottom; its top is 1
+    path = tmp_path / "keywords.lat"
+    path.write_text("elem 0\nelem top\nelem bottom\nelem 1\n"
+                    "cover 0 top\ncover 0 bottom\n"
+                    "cover top 1\ncover bottom 1\n")
+    source = str(path)
+    code, out = run_cli("shatter", source, "--family", "0,top",
+                        "--element", "top")
+    assert (code, out) == (0, "shattered\n")
+    code, out = run_cli("shatter", source, "--family", "0,top",
+                        "--element", "bottom")
+    assert (code, out) == (1, "not shattered\n")
+    code, out = run_cli("shatter", source, "--family", "0,top",
+                        "--element", "1")
+    assert (code, out) == (1, "not shattered\n")
+
+
 def test_antichain_verb():
     code, out = run_cli("antichain", "boolean:2", "--antichain", "1,2",
                         "--family", "0")

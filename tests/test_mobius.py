@@ -133,6 +133,13 @@ def test_inversion_random_integers(corpus, rng):
             assert lv.check_inversion(lat, g, table), name
 
 
+def test_inversion_needs_one_value_per_element():
+    b2 = lv.boolean(2)
+    for g in ([1] * (b2.n - 1), [1] * (b2.n + 1)):
+        with pytest.raises(ValueError, match="^expected 4 values of g, got "):
+            lv.check_inversion(b2, g)
+
+
 def test_inversion_rationals(corpus, rng):
     for lat in list(corpus.values())[:3]:
         g = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))

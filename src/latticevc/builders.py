@@ -304,16 +304,16 @@ def fig3b():
 def qbinom(n, d, q):
     """Number of d-dimensional subspaces of an n-space over a q-element field.
 
-    Computed exactly by the subset-sum formula
-    sum over d-subsets A of {1..n} of q^(sum(A) - d(d+1)/2).
+    Exact product formula prod_{i<d} (q^(n-i) - 1) / (q^(i+1) - 1): its
+    first i factors give qbinom(n, i, q), so every division is exact.
     """
     if q < 2:
         raise OutOfRange("field size must be at least 2")
     if n < 0 or d < 0 or d > n:
         raise OutOfRange(f"need 0 <= d <= n, got n={n}, d={d}")
-    total = 0
-    for a in combinations(range(1, n + 1), d):
-        total += q ** (sum(a) - d * (d + 1) // 2)
+    total = 1
+    for i in range(d):
+        total = total * (q ** (n - i) - 1) // (q ** (i + 1) - 1)
     return total
 
 

@@ -47,7 +47,8 @@ def _check_elements(n, elements, what):
 
 
 def _check_label(label):
-    if not label or any(ch.isspace() or ch in ",#" for ch in label):
+    if (not isinstance(label, str) or not label
+            or any(ch.isspace() or ch in ",#" for ch in label)):
         raise ValueError(
             f"bad element label {label!r}: labels are non-empty and may not "
             "contain whitespace, commas or '#'"

@@ -59,11 +59,11 @@ def vc_dim(lattice, family):
     """Maximum rank of a shattered element."""
     if lattice.rank is None:
         raise NotRanked("VC dimension needs a ranked lattice")
-    if not family:
+    sset = shattered_set(lattice, family)
+    # every member meets the bottom there: only F = {} shatters nothing
+    if not sset:
         raise EmptyFamily("VC dimension of the empty family is undefined")
-    # non-empty families always shatter the bottom, so the max is over a
-    # non-empty set
-    return max(lattice.rank[y] for y in shattered_set(lattice, family))
+    return max(lattice.rank[y] for y in sset)
 
 
 def char_rows(lattice, row_elements, col_elements):
@@ -117,11 +117,12 @@ def elimination(lattice, family, z, table=None):
     coefficients gamma_y = -mu(x, y) / mu(x, z) for x <= y < z (zero for
     other y < z).  The identity is verified on the family before returning.
     """
-    if shatters(lattice, family, z):
+    fam = frozenset(family)
+    if shatters(lattice, fam, z):
         raise ElementIsShattered(f"family shatters {lattice.names[z]!r}")
     if table is None:
         table = mobius_table(lattice)
-    realized = realized_meets(lattice, family, z)
+    realized = realized_meets(lattice, fam, z)
     witness = None
     for x in lattice.linext:
         if lattice.leq(x, z) and not (realized >> x) & 1:
@@ -139,7 +140,7 @@ def elimination(lattice, family, z, table=None):
         else:
             coeffs[y] = Fraction(0)
     cert = EliminationCert(z, witness, coeffs)
-    if not cert.verify(lattice, family):
+    if not cert.verify(lattice, fam):
         raise CheckFailed("elimination identity fails on the family")
     return cert
 

@@ -19,7 +19,7 @@ from .errors import (
     NotRC,
     PreconditionViolated,
 )
-from .mobius import mobius_table, vanishing_pairs
+from .mobius import vanishing_pairs
 from .shattering import realized_meets, shattered_set, shatters
 
 CERTIFIED = "CertifiedSSP"
@@ -235,18 +235,6 @@ class SspVerdict:
     families_examined: int
 
 
-def _certificate_verdict(lattice, rc):
-    """The Mobius certificates; ``rc`` says whether the lattice is RC."""
-    table = mobius_table(lattice)
-    vanishing = vanishing_pairs(lattice, table)
-    if not vanishing:
-        return SspVerdict(CERTIFIED, CERT_NONVANISHING, None, 0)
-    if (rc and lattice.top is not None
-            and set(vanishing) <= {(lattice.bottom, lattice.top)}):
-        return SspVerdict(CERTIFIED, CERT_RC_ONCE, None, 0)
-    return SspVerdict(INCONCLUSIVE, None, None, 0)
-
-
 def _verify_witness(lattice, fam):
     if len(shattered_set(lattice, fam)) >= len(fam):
         raise CheckFailed("claimed witness shatters at least |F| elements")
@@ -259,25 +247,33 @@ def is_ssp(lattice, strategy="auto", budget=DEFAULT_BUDGET):
     "brute" searches the families within the budget and stops at the first
     violator in DFS order, the lexicographic order of sorted members; "auto"
     gives the non-RC counterexample (kind ``CERT_NON_RC``), else tries the
-    certificates, then brute force (a non-RC lattice has a 3-element
-    interval [x, y] with mu(x, y) = 0, so no certificate applies to it).
-    Resource exhaustion yields Inconclusive, never an exception.  Every
-    Violated verdict is re-verified from the definition before returning.
-    The certificates read no meet; the witness checks and the family
-    search read each meet x ^ y from ``lattice.element`` as the element
-    whose down-set is down[x] & down[y].
+    certificates, then brute force.  Every strategy but "brute" decides RC
+    first: a non-RC lattice has a 3-element interval [x, y] with
+    mu(x, y) = 0, so no certificate applies to it and no Mobius table is
+    built.  Resource exhaustion yields Inconclusive, never an exception.
+    Every Violated verdict is re-verified from the definition before
+    returning.  The certificates read no meet; the witness checks and the
+    family search read each meet x ^ y from ``lattice.element`` as the
+    element whose down-set is down[x] & down[y].
     """
     if strategy not in ("auto", "brute", "certificate"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy in ("auto", "certificate"):
+    if strategy != "brute":
         witness = is_rc(lattice)
-        if strategy == "auto" and witness is not None:
+        if witness is None:
+            vanishing = vanishing_pairs(lattice)
+            if not vanishing:
+                return SspVerdict(CERTIFIED, CERT_NONVANISHING, None, 0)
+            # distinct pairs in index order lie in {(bottom, top)} exactly
+            # when they equal it; (bottom, None) matches no pair
+            if vanishing == [(lattice.bottom, lattice.top)]:
+                return SspVerdict(CERTIFIED, CERT_RC_ONCE, None, 0)
+        elif strategy == "auto":
             fam = non_rc_family(lattice, witness)
             _verify_witness(lattice, fam)
             return SspVerdict(VIOLATED, CERT_NON_RC, fam, 1)
-        verdict = _certificate_verdict(lattice, witness is None)
-        if strategy == "certificate" or verdict.outcome == CERTIFIED:
-            return verdict
+    if strategy == "certificate":
+        return SspVerdict(INCONCLUSIVE, None, None, 0)
     return _brute_force(lattice, budget)
 
 
@@ -299,7 +295,8 @@ def antichain_check(lattice, antichain, family):
     Requires a nonvanishing Mobius function and that F shatters no element
     of A; then |F| <= |F_A| where F_A = {x : x < a for some a in A}, and
     F_A itself shatters no element of A.  Both conclusions are recomputed
-    and a failure raises CheckFailed.
+    and a failure raises CheckFailed.  A non-RC lattice, where mu vanishes
+    on a 3-element interval, is refused before any Mobius table is built.
     """
     aset = frozenset(antichain)
     if not aset:
@@ -315,7 +312,7 @@ def antichain_check(lattice, antichain, family):
         if not any(lattice.leq(z, a) or lattice.leq(a, z) for a in aset):
             raise NotMaximalAntichain(
                 f"{lattice.names[z]!r} is incomparable to the whole antichain")
-    if vanishing_pairs(lattice):
+    if is_rc(lattice) is not None or vanishing_pairs(lattice):
         raise PreconditionViolated("Mobius function vanishes on this lattice")
     fam = frozenset(family)
     for a in aset:

@@ -285,6 +285,31 @@ def test_qbinom_values():
     assert lv.qbinom(2, 1, 3) == 4
 
 
+def _qbinom_subset_sum(n, d, q):
+    # sum over d-subsets A of {1..n} of q^(sum(A) - d(d+1)/2)
+    return sum(q ** (sum(a) - d * (d + 1) // 2)
+               for a in combinations(range(1, n + 1), d))
+
+
+def test_qbinom_matches_subset_sum():
+    for q in (2, 3, 5):
+        for n in range(9):
+            for d in range(n + 1):
+                assert lv.qbinom(n, d, q) == _qbinom_subset_sum(n, d, q), (
+                    q, n, d)
+
+
+def test_qbinom_large_matches_q_pascal():
+    # [n, d] = [n-1, d-1] + q^d [n-1, d], row by row up to n = 60; the
+    # subset-sum formula would visit C(60, 30) subsets
+    q = 2
+    row = [1]
+    for n in range(1, 61):
+        row = [1] + [row[d - 1] + q ** d * row[d] for d in range(1, n)] + [1]
+    assert lv.qbinom(60, 30, q) == row[30]
+    assert [lv.qbinom(60, d, q) for d in range(61)] == row
+
+
 def test_qbinom_errors():
     with pytest.raises(OutOfRange):
         lv.qbinom(2, 3, 2)

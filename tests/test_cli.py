@@ -286,6 +286,9 @@ def test_ssp_single_family():
     assert out == "Violated, witness {1,2}, |F|=2, |Str|=1\n"
     code, out = run_cli("ssp", "boolean:2", "--family", "1,2")
     assert (code, out) == (0, "OK, |F|=2, |Str|=3\n")
+    # empty text is the empty family, which shatters nothing
+    assert run_cli("ssp", "fig1", "--family", "") == (
+        0, "OK, |F|=0, |Str|=0\n")
 
 
 def test_negative_budget_rejected_at_parse_time(capsys):

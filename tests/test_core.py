@@ -250,7 +250,10 @@ def test_duplicate_and_bad_labels_rejected():
         lv.from_covers(2, ["a", "b c"], [(0, 1)])
     # every character str.split() or str.splitlines() breaks at is refused,
     # so an accepted label always survives the text round trip
-    for label in ("a\xa0b", "a\x0cb", "a\x1cb", "a\x85b", "a\u2028b"):
+    # a label that is not a str is refused by the same rule: an int has no
+    # characters to test, and a tuple's text holds a comma
+    for label in ("a\xa0b", "a\x0cb", "a\x1cb", "a\x85b", "a\u2028b", 1,
+                  ("a",)):
         with pytest.raises(ValueError, match="^bad element label "):
             lv.from_covers(2, ["0", label], [(0, 1)])
 

@@ -181,6 +181,26 @@ def test_vc_errors():
         lv.vc_dim(lv.fig1(), frozenset({0}))
     with pytest.raises(EmptyFamily):
         lv.vc_dim(lv.boolean(2), frozenset())
+    with pytest.raises(EmptyFamily):
+        lv.vc_dim(lv.boolean(2), iter([]))
+
+
+def test_one_shot_family_reads_like_a_frozenset():
+    # an iterator is read once, so every check sees the same family
+    b2 = lv.boolean(2)
+    for fam in all_families(b2):
+        if fam:
+            assert lv.vc_dim(b2, iter(fam)) == lv.vc_dim(b2, fam)
+        for z in range(b2.n):
+            if z in lv.shattered_set(b2, fam):
+                with pytest.raises(ElementIsShattered):
+                    lv.elimination(b2, iter(fam), z)
+                continue
+            cert = lv.elimination(b2, iter(fam), z)
+            expected = lv.elimination(b2, fam, z)
+            assert (cert.witness_x, cert.coeffs) == (expected.witness_x,
+                                                     expected.coeffs)
+            assert cert.verify(b2, fam)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +326,14 @@ def test_elimination_rc_forbidden_families():
         lv.elimination_rc(f1, frozenset(range(f1.n)), f1.top)
     with pytest.raises(ForbiddenFamily):
         lv.elimination_rc(f1, frozenset(range(f1.n)) - {f1.bottom}, f1.top)
+    fam = frozenset(range(f1.n)) - {f1.index("0"), f1.index("4")}
+    with pytest.raises(ElementIsShattered):
+        lv.elimination_rc(f1, fam, f1.index("12"))
+    # on chain:3, mu(0, top) = 0, and chi_top restricted to F = {2, top} is
+    # (0, 1) while every other row is (1, 1): not in their span
+    c3 = lv.chain(3)
+    with pytest.raises(NoNonvanishingWitness):
+        lv.elimination_rc(c3, frozenset({2, c3.top}), c3.top)
 
 
 def test_elimination_rc_top_certificates():

@@ -24,6 +24,7 @@ from conftest import (
     naive_violating_families,
     oracle_is_rc,
     oracle_meets,
+    oracle_mobius_rows,
     random_family,
     relabel,
 )
@@ -156,6 +157,59 @@ def test_path_auto_violated():
 def test_path_certificate_inconclusive():
     verdict = lv.is_ssp(lv.chain(2), "certificate")
     assert verdict.outcome == ssp.INCONCLUSIVE
+
+
+def _no_mobius(*args, **kwargs):
+    raise AssertionError("a non-RC lattice needs no Mobius table")
+
+
+def test_non_rc_lattice_builds_no_mobius_table(monkeypatch):
+    monkeypatch.setattr(ssp, "vanishing_pairs", _no_mobius)
+    verdict = lv.is_ssp(lv.fig3b(), "certificate")
+    assert verdict == ssp.SspVerdict(ssp.INCONCLUSIVE, None, None, 0)
+    assert lv.is_ssp(lv.fig3b(), "auto").certificate_kind == ssp.CERT_NON_RC
+    c2 = lv.chain(2)
+    with pytest.raises(PreconditionViolated,
+                       match="^Mobius function vanishes on this lattice$"):
+        lv.antichain_check(c2, frozenset({1}), frozenset({0}))
+
+
+def _certificate_by_definition(lattice):
+    # RC by the all-pairs oracle, then the pairs x <= y with mu(x, y) = 0
+    # from the interval-sum rows
+    if oracle_is_rc(lattice) is not None:
+        return ssp.SspVerdict(ssp.INCONCLUSIVE, None, None, 0)
+    rows = oracle_mobius_rows(lattice)
+    vanishing = {(x, y) for x in range(lattice.n) for y in range(lattice.n)
+                 if (lattice.up[x] >> y) & 1 and rows[x][y] == 0}
+    if not vanishing:
+        return ssp.SspVerdict(ssp.CERTIFIED, ssp.CERT_NONVANISHING, None, 0)
+    if lattice.top is not None and vanishing == {(lattice.bottom,
+                                                  lattice.top)}:
+        return ssp.SspVerdict(ssp.CERTIFIED, ssp.CERT_RC_ONCE, None, 0)
+    return ssp.SspVerdict(ssp.INCONCLUSIVE, None, None, 0)
+
+
+def _topless(lattice):
+    # the lattice without its top: a meet-semilattice with the same
+    # intervals below the top
+    covers = [(c, p) for c, p in lattice.covers if p != lattice.top]
+    keep = [i for i in range(lattice.n) if i != lattice.top]
+    index = {old: new for new, old in enumerate(keep)}
+    return lv.from_covers(len(keep), [lattice.names[i] for i in keep],
+                          [(index[c], index[p]) for c, p in covers])
+
+
+def test_certificate_matches_definition(corpus):
+    # product(fig1, chain:1) without its top is RC, has no top, and mu
+    # vanishes there only on (bottom, y) for the maximal y = (top of fig1, 0)
+    lattices = list(corpus.values())
+    lattices.append(_topless(lv.product(lv.fig1(), lv.chain(1))))
+    for n in range(1, 9):
+        lattices += lv.enumerate_lattices(n)
+    for lat in lattices:
+        assert lv.is_ssp(lat, "certificate") == _certificate_by_definition(
+            lat), lv.emit_lattice_text(lat)
 
 
 def test_unknown_strategy_rejected():

@@ -4,7 +4,10 @@ A lattice is SSP when every family F shatters at least |F| elements.  Three
 routes are implemented: certificates (nonvanishing Mobius function, or RC
 with mu vanishing only on the bottom-to-top pair), the constructive
 counterexample on non-RC lattices, and exhaustive search over families with
-sound subset pruning.
+sound subset pruning.  On an RC lattice that satisfies Birkhoff's cover
+condition, a geometric one, mu is nonvanishing by Rota's theorem, and the
+first certificate is read off the covers; any other RC lattice reads both
+certificates off the Mobius table.
 """
 
 from dataclasses import dataclass
@@ -46,7 +49,15 @@ class RcWitness:
     y: int
 
 
-def is_rc(lattice):
+def _upper_covers(lattice):
+    """upper[x]: the mask of the elements that cover x."""
+    upper = [0] * lattice.n
+    for c, p in lattice.covers:
+        upper[c] |= 1 << p
+    return upper
+
+
+def is_rc(lattice, upper=None):
     """None when relatively complemented, else the first 3-element interval.
 
     Uses the interval characterization: a finite lattice is RC iff no pair
@@ -55,13 +66,13 @@ def is_rc(lattice):
     upper covers are tested, in ascending index for each x in turn.  Every
     other pair x < y holds no witness, so the first witness in (x, y)
     index order is the one a scan of all pairs would find, and the result
-    is deterministic.
+    is deterministic.  ``upper`` is :func:`_upper_covers` of the lattice,
+    computed when not given.
     """
     up = lattice.up
     down = lattice.down
-    upper = [0] * lattice.n     # upper[x]: the elements covering x
-    for c, p in lattice.covers:
-        upper[c] |= 1 << p
+    if upper is None:
+        upper = _upper_covers(lattice)
     for x in range(lattice.n):
         two_step = 0
         for c in _bits(upper[x]):
@@ -73,6 +84,56 @@ def is_rc(lattice):
             if between & (between - 1) == 0:
                 return RcWitness(x, between.bit_length() - 1, y)
     return None
+
+
+def _cover_condition(lattice, upper):
+    """True when any two distinct upper covers of an element have a common
+    upper cover (Birkhoff's cover condition); ``upper`` is
+    :func:`_upper_covers` of the lattice.
+
+    reach[a], a itself and the lower covers of its upper covers, holds
+    every element that shares an upper cover with a.  The condition holds
+    exactly when every z that a covers has upper[z] inside reach[a]: one
+    AND per cover pair, and no meet is read.
+    """
+    covers = lattice.covers
+    lower = [0] * lattice.n
+    for c, p in covers:
+        lower[p] |= 1 << c
+    reach = [1 << a for a in range(lattice.n)]
+    for c, p in covers:
+        reach[c] |= lower[p]
+    for z, a in covers:
+        if upper[z] & ~reach[a]:
+            return False
+    return True
+
+
+def _rc_vanishing_pairs(lattice, upper):
+    """The pairs x <= y with mu(x, y) = 0 of an RC lattice, in index order.
+
+    Empty when the cover condition holds (:func:`_cover_condition`), without
+    a Mobius table; else ``vanishing_pairs(lattice)``.  The cover route is
+    sound:
+
+    1. A finite RC lattice is atomistic.  Let s be the join of the atoms
+       below y, and suppose s < y.  A complement c of s in [0, y] is not 0
+       (else s = s v c = y), so some atom a <= c.  Then a <= y, so a <= s,
+       and a <= s ^ c = 0, which is impossible.
+    2. Every interval [x, y] of an RC lattice is RC, so it is atomistic by
+       1.  The cover condition holds in [x, y] too: if u, v in [x, y] are
+       distinct covers of w, their common upper cover c lies above
+       u v v > u, so c = u v v <= y.  The join u v v exists below y also
+       in a meet-semilattice with no top.  So every interval is a finite
+       atomistic lattice with the cover condition, which is upper
+       semimodular (Stanley, EC1, 3.3): it is geometric.
+    3. mu of a geometric lattice alternates strictly in sign (Rota, "On the
+       foundations of combinatorial theory I", 1964, 7).  mu(x, y) depends
+       on [x, y] alone, so it is not 0 for any x <= y.
+    """
+    if _cover_condition(lattice, upper):
+        return []
+    return vanishing_pairs(lattice)
 
 
 def non_rc_family(lattice, witness):
@@ -254,14 +315,17 @@ def is_ssp(lattice, strategy="auto", budget=DEFAULT_BUDGET):
     Every Violated verdict is re-verified from the definition before
     returning.  The certificates read no meet; the witness checks and the
     family search read each meet x ^ y from ``lattice.element`` as the
-    element whose down-set is down[x] & down[y].
+    element whose down-set is down[x] & down[y].  On an RC lattice with
+    Birkhoff's cover condition, a geometric one, mu is nonvanishing and no
+    Mobius table is built either (see :func:`_rc_vanishing_pairs`).
     """
     if strategy not in ("auto", "brute", "certificate"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy != "brute":
-        witness = is_rc(lattice)
+        upper = _upper_covers(lattice)
+        witness = is_rc(lattice, upper)
         if witness is None:
-            vanishing = vanishing_pairs(lattice)
+            vanishing = _rc_vanishing_pairs(lattice, upper)
             if not vanishing:
                 return SspVerdict(CERTIFIED, CERT_NONVANISHING, None, 0)
             # distinct pairs in index order lie in {(bottom, top)} exactly
@@ -296,7 +360,8 @@ def antichain_check(lattice, antichain, family):
     of A; then |F| <= |F_A| where F_A = {x : x < a for some a in A}, and
     F_A itself shatters no element of A.  Both conclusions are recomputed
     and a failure raises CheckFailed.  A non-RC lattice, where mu vanishes
-    on a 3-element interval, is refused before any Mobius table is built.
+    on a 3-element interval, is refused before any Mobius table is built,
+    and a geometric one is accepted without one.
     """
     aset = frozenset(antichain)
     if not aset:
@@ -312,7 +377,9 @@ def antichain_check(lattice, antichain, family):
         if not any(lattice.leq(z, a) or lattice.leq(a, z) for a in aset):
             raise NotMaximalAntichain(
                 f"{lattice.names[z]!r} is incomparable to the whole antichain")
-    if is_rc(lattice) is not None or vanishing_pairs(lattice):
+    upper = _upper_covers(lattice)
+    if (is_rc(lattice, upper) is not None
+            or _rc_vanishing_pairs(lattice, upper)):
         raise PreconditionViolated("Mobius function vanishes on this lattice")
     fam = frozenset(family)
     for a in aset:

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -160,7 +161,7 @@ def test_path_certificate_inconclusive():
 
 
 def _no_mobius(*args, **kwargs):
-    raise AssertionError("a non-RC lattice needs no Mobius table")
+    raise AssertionError("this lattice needs no Mobius table")
 
 
 def test_non_rc_lattice_builds_no_mobius_table(monkeypatch):
@@ -172,6 +173,79 @@ def test_non_rc_lattice_builds_no_mobius_table(monkeypatch):
     with pytest.raises(PreconditionViolated,
                        match="^Mobius function vanishes on this lattice$"):
         lv.antichain_check(c2, frozenset({1}), frozenset({0}))
+
+
+def test_geometric_lattice_builds_no_mobius_table(monkeypatch):
+    monkeypatch.setattr(ssp, "vanishing_pairs", _no_mobius)
+    certified = ssp.SspVerdict(ssp.CERTIFIED, ssp.CERT_NONVANISHING, None, 0)
+    for source in ("boolean:9", "subspace:2:5",
+                   "product(boolean:3,subspace:2:3)"):
+        lat = load_source(source)
+        assert lv.is_ssp(lat, "auto") == certified, source
+        assert lv.is_ssp(lat, "certificate") == certified, source
+    b4 = lv.boolean(4)
+    report = lv.antichain_check(b4, lv.atoms(b4), frozenset({b4.bottom}))
+    assert report.bound_size == 1
+
+
+def _forests(vertices, edges):
+    # the graphic matroid: edge sets without a cycle, by union-find
+    def acyclic(subset):
+        root = list(range(vertices))
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+        for i in subset:
+            u, v = map(find, edges[i])
+            if u == v:
+                return False
+            root[u] = v
+        return True
+    return lv.MatroidSpec.make(len(edges), [
+        s for d in range(len(edges) + 1)
+        for s in combinations(range(len(edges)), d) if acyclic(s)])
+
+
+def _partition_lattice_4():
+    # the flats of the graphic matroid of K4: the 15 partitions of 4 points
+    return lv.from_matroid(_forests(4, list(combinations(range(4), 2))))
+
+
+def test_rc_lattice_without_cover_condition_reads_mobius_table(monkeypatch):
+    calls = []
+
+    def counted(lattice):
+        calls.append(lattice.n)
+        return lv.vanishing_pairs(lattice)
+    monkeypatch.setattr(ssp, "vanishing_pairs", counted)
+    # the dual of the partition lattice Pi_4 is RC with nonvanishing mu,
+    # but two of its atoms, the coatoms 12|34 and 13|24 of Pi_4, have no
+    # common upper cover
+    pi4 = _partition_lattice_4()
+    pi4_dual = lv.from_covers(pi4.n, pi4.names,
+                              [(p, c) for c, p in pi4.covers])
+    assert pi4_dual.n == 15 and oracle_is_rc(pi4_dual) is None
+    assert not ssp._cover_condition(pi4_dual, ssp._upper_covers(pi4_dual))
+    for strategy in ("auto", "certificate"):
+        assert lv.is_ssp(pi4_dual, strategy) == ssp.SspVerdict(
+            ssp.CERTIFIED, ssp.CERT_NONVANISHING, None, 0)
+    assert calls == [15, 15]
+    for lat in (lv.fig1(), lv.fig2()):
+        calls.clear()
+        assert lv.is_ssp(lat, "auto") == ssp.SspVerdict(
+            ssp.CERTIFIED, ssp.CERT_RC_ONCE, None, 0)
+        assert calls == [lat.n]
+    # every element of a chain has at most one upper cover, so the cover
+    # condition holds, but a 3-element chain is not RC
+    calls.clear()
+    c2 = lv.chain(2)
+    assert ssp._cover_condition(c2, ssp._upper_covers(c2))
+    verdict = lv.is_ssp(c2, "auto")
+    assert (verdict.outcome, verdict.certificate_kind) == (ssp.VIOLATED,
+                                                           ssp.CERT_NON_RC)
+    assert calls == []
 
 
 def _certificate_by_definition(lattice):
@@ -200,16 +274,52 @@ def _topless(lattice):
                           [(index[c], index[p]) for c, p in covers])
 
 
+def _oracle_cover_condition(lattice):
+    # any two distinct upper covers of an element have a common upper
+    # cover, tested pair by pair
+    covers = set(lattice.covers)
+    return all(any((a, c) in covers and (b, c) in covers
+                   for c in range(lattice.n))
+               for x in range(lattice.n)
+               for a, b in combinations(
+                   [p for z, p in lattice.covers if z == x], 2))
+
+
+def _uniform_matroid(rank, size):
+    return lv.MatroidSpec.make(size, [s for d in range(rank + 1)
+                                      for s in combinations(range(size), d)])
+
+
 def test_certificate_matches_definition(corpus):
     # product(fig1, chain:1) without its top is RC, has no top, and mu
     # vanishes there only on (bottom, y) for the maximal y = (top of fig1, 0)
     lattices = list(corpus.values())
-    lattices.append(_topless(lv.product(lv.fig1(), lv.chain(1))))
-    for n in range(1, 9):
+    lattices.append(lv.product(lv.fig1(), lv.chain(1)))
+    lattices += [lv.from_matroid(_uniform_matroid(rank, size))
+                 for size in range(1, 6) for rank in range(1, size + 1)]
+    lattices.append(_partition_lattice_4())
+    for n in range(1, 10):
         lattices += lv.enumerate_lattices(n)
+    lattices += [_topless(lat) for lat in lattices if lat.n > 1]
+    geometric = 0
     for lat in lattices:
+        text = lv.emit_lattice_text(lat)
         assert lv.is_ssp(lat, "certificate") == _certificate_by_definition(
-            lat), lv.emit_lattice_text(lat)
+            lat), text
+        cover = ssp._cover_condition(lat, ssp._upper_covers(lat))
+        assert cover == _oracle_cover_condition(lat), text
+        if cover and oracle_is_rc(lat) is None:
+            # the cover route's claim: mu never vanishes, and it alternates
+            # in sign as on every geometric lattice
+            geometric += 1
+            rows = oracle_mobius_rows(lat)
+            assert all(rows[x][y] for x in range(lat.n)
+                       for y in lat.upset(x)), text
+            assert lv.weisner_check(lat), text
+    # 33 lattices with a top (9 of the 10 RC lattices with n <= 9, all but
+    # fig1; 8 of the corpus; the 15 uniform matroids; Pi_4) and 15 topless
+    # variants; the count would fall if the cover test stopped passing
+    assert geometric == 48
 
 
 def test_unknown_strategy_rejected():

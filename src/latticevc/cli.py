@@ -196,8 +196,13 @@ def _cmd_ssp(args, out):
             out.write(line + "\n")
             return 0
         if verdict.outcome == ssp.INCONCLUSIVE:
-            out.write(f"Inconclusive (budget exhausted), "
-                      f"families={verdict.families_examined}\n")
+            # the certificate route has no budget: it stops when no
+            # certificate applies
+            if args.strategy == "certificate":
+                out.write("Inconclusive (no certificate applies)\n")
+            else:
+                out.write(f"Inconclusive (budget exhausted), "
+                          f"families={verdict.families_examined}\n")
             return 1
         fam = verdict.witness  # re-verified by is_ssp, so it violates
     size = len(shattered_set(lattice, fam))

@@ -5,6 +5,11 @@ lattices of explicitly given matroids, three hard-coded example lattices
 (two SSP lattices whose Mobius function vanishes exactly on the
 bottom-to-top pair, and an 11-element non-RC lattice), q-binomial
 coefficients, and the inclusion-maximal VC-1 family of subspaces.
+
+The first four builders number their elements along a linear extension,
+compute each down-set mask directly and hand the masks to
+:func:`core._from_down_masks`; only the figures, given by named covers, go
+through :func:`core.from_covers`.
 """
 
 from dataclasses import dataclass
@@ -15,6 +20,7 @@ from .core import (
     _bits,
     _check_elements,
     _check_size,
+    _from_down_masks,
     from_covers,
 )
 from .errors import (
@@ -40,11 +46,13 @@ def boolean(n):
         raise ValueError("boolean lattice dimension must be non-negative")
     # 2^n, clamped so that a huge n computes no huge number
     _check_size(1 << min(n, MAX_ELEMENTS.bit_length()), f"boolean({n})")
-    size = 1 << n
-    names = [_subset_name(m, n) for m in range(size)]
-    covers = [(m, m | (1 << i))
-              for m in range(size) for i in range(n) if not (m >> i) & 1]
-    return from_covers(size, names, covers)
+    # subset m holds element i + 1 iff bit i of m is set; the subsets of
+    # m + 2^i, for m < 2^i, are those of m, alone and joined with i + 1
+    down = [1]
+    for _ in range(n):
+        down += [d | d << len(down) for d in down]
+    return _from_down_masks(tuple(_subset_name(m, n) for m in range(1 << n)),
+                            down)
 
 
 def chain(k):
@@ -52,8 +60,8 @@ def chain(k):
     if k < 0:
         raise ValueError("chain length must be non-negative")
     _check_size(k + 1, f"chain({k})")
-    return from_covers(k + 1, [str(i) for i in range(k + 1)],
-                       [(i, i + 1) for i in range(k)])
+    return _from_down_masks(tuple(str(i) for i in range(k + 1)),
+                            [(2 << i) - 1 for i in range(k + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +145,11 @@ def subspace_lattice(q, n):
 
     Elements are labelled by their reduced echelon bases ("0" for the zero
     space, rows joined by dots otherwise), so equal labels mean equal
-    subspaces.  The q^n vectors of F_q^n, whose sets the covers compare,
-    count against MAX_ELEMENTS first, on clamped arguments.
+    subspaces.  The q^n vectors of F_q^n count against MAX_ELEMENTS first,
+    on clamped arguments.  That guard bounds the vector sets that decide
+    the order, and it also keeps the labels unique: rows with two-digit
+    entries (q >= 11) join to equal digits only past it, as (1,1,12) and
+    (1,11,2) do at q = 13, n = 3.
     """
     exponent = max(0, min(n, MAX_ELEMENTS.bit_length()))
     _check_size(min(q, MAX_ELEMENTS + 1) ** exponent,
@@ -151,14 +162,19 @@ def subspace_lattice(q, n):
                 f"subspace_lattice({q}, {n})")
     subs = _subspaces(q, n)
     vecsets = [s.vectors() for s in subs]
-    # a cover raises the dimension by one, so each subspace is compared
-    # only with those of the next dimension
+    # the subspaces come in ascending dimension, and T's down-set is T
+    # with the down-sets of its subspaces of one dimension less;
+    # by_dim[d + 1] lists the subspaces of dimension d
     by_dim = [[] for _ in range(n + 2)]
-    for i, s in enumerate(subs):
-        by_dim[s.dim()].append(i)
-    covers = [(i, j) for i, s in enumerate(subs) for j in by_dim[s.dim() + 1]
-              if vecsets[i] <= vecsets[j]]
-    return from_covers(len(subs), [s.name() for s in subs], covers)
+    down = []
+    for t, s in enumerate(subs):
+        mask = 1 << t
+        for u in by_dim[s.dim()]:
+            if vecsets[u] <= vecsets[t]:
+                mask |= down[u]
+        by_dim[s.dim() + 1].append(t)
+        down.append(mask)
+    return _from_down_masks(tuple(s.name() for s in subs), down)
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +242,10 @@ def from_matroid(spec):
     flats = [s for s in subsets
              if all(rank_of[s | {x}] > rank_of[s] for x in ground - s)]
     flats.sort(key=lambda s: (len(s), sorted(s)))
-    names = [_subset_name(sum(1 << x for x in s), spec.ground_size)
-             for s in flats]
-    lattice = from_covers(len(flats), names,
-                          [(i, j) for i, s in enumerate(flats)
-                           for j, t in enumerate(flats) if s < t])
+    names = tuple(_subset_name(sum(1 << x for x in s), spec.ground_size)
+                  for s in flats)
+    lattice = _from_down_masks(names, [
+        sum(1 << i for i, s in enumerate(flats) if s <= t) for t in flats])
     if lattice.rank is None:
         raise CheckFailed("the lattice of flats is not ranked")
     if any(lattice.rank[i] != rank_of[s] for i, s in enumerate(flats)):

@@ -8,7 +8,9 @@ whose down-set is down[x] & down[y].  With a top the structure is a
 lattice: x v y = a exactly when up[x] & up[y] == up[a].
 
 Bitmask convention used throughout the package: bit y of ``up[x]`` is set
-iff x <= y, and bit x of ``down[y]`` is set iff x <= y.
+iff x <= y, and bit x of ``down[y]`` is set iff x <= y.  The cover masks
+follow it: bit y of ``upper[x]`` and bit x of ``lower[y]`` are set iff y
+covers x.
 """
 
 import heapq
@@ -72,6 +74,10 @@ class Lattice:
     names    : tuple of labels, index = position
     up, down : tuples of up-set / down-set bitmasks
     covers   : tuple of (child, parent) pairs, the transitive reduction
+    upper    : tuple of upper-cover masks, bit y of upper[x] set iff y
+               covers x
+    lower    : tuple of lower-cover masks, bit x of lower[y] set iff y
+               covers x
     element  : dict from each down-set mask to its element, so the meet of
                x and y is element[down[x] & down[y]]
     bottom   : index of the unique minimal element
@@ -79,18 +85,22 @@ class Lattice:
     rank     : tuple of ranks, or None when no consistent rank exists
     linext   : a fixed linear extension (tuple of indices)
 
-    Construct through :func:`from_covers`; the constructor trusts its inputs.
-    Construction has checked that every pair has a meet
-    (:func:`_check_meets`), so ``element`` holds every down[x] & down[y].
+    Construct through :func:`from_covers` (outside input) or
+    :func:`_from_down_masks` (down-sets the package derives itself); the
+    constructor trusts its inputs.  Construction has checked that every
+    pair has a meet (:func:`_check_meets`), so ``element`` holds every
+    down[x] & down[y].
     """
 
-    def __init__(self, n, names, up, down, covers, element, bottom, top, rank,
-                 linext):
+    def __init__(self, n, names, up, down, covers, upper, lower, element,
+                 bottom, top, rank, linext):
         self.n = n
         self.names = names
         self.up = up
         self.down = down
         self.covers = covers
+        self.upper = upper
+        self.lower = lower
         self.element = element
         self.bottom = bottom
         self.top = top
@@ -123,7 +133,10 @@ class Lattice:
 
 
 def from_covers(n, names, covers):
-    """Build a validated structure from a Hasse diagram given from outside.
+    """Build a validated structure from a Hasse diagram given from outside:
+    the text format, the public API and the figures given by named covers.
+    The package's builders know their down-sets and call
+    :func:`_from_down_masks` directly.
 
     ``covers`` is any iterable of (child, parent) index pairs; redundant
     (transitively implied or repeated) pairs are tolerated and normalized
@@ -193,12 +206,14 @@ def _linear_extension(parents):
 def _from_down_masks(names, down):
     """Trusted constructor from reflexive, transitive down-set masks.
 
-    Checks for a unique bottom, computes the covers (the transitive
-    reduction) from the down-sets, checks for meets on them
-    (:func:`_check_meets`), computes the linear extension
-    (:func:`_linear_extension` of the covers) and the rank in one loop over
-    it, and the up-sets in one loop back.  Outside input goes through
-    :func:`from_covers`.
+    The one place that derives cover structure.  Checks for a unique
+    bottom, computes the covers (the transitive reduction) from the
+    down-sets, both as the ``covers`` pairs and as the ``upper`` and
+    ``lower`` masks, checks for meets on them (:func:`_check_meets`),
+    computes the linear extension (:func:`_linear_extension` of the covers)
+    and the rank in one loop over it, and the up-sets in one loop back.
+    The builders, :func:`interval`, :func:`product` and the enumerator call
+    it; outside input goes through :func:`from_covers`.
     """
     n = len(names)
     minimals = [x for x in range(n) if down[x] == 1 << x]
@@ -213,6 +228,7 @@ def _from_down_masks(names, down):
     # as it does for the builders and the enumerator, the steps take
     # exactly the lower covers, and otherwise more steps give the same set
     strict = [mask ^ (1 << y) for y, mask in enumerate(down)]
+    upper = [0] * n
     lower = []
     parents = [[] for _ in range(n)]
     for y, rest in enumerate(strict):
@@ -221,13 +237,16 @@ def _from_down_masks(names, down):
             z = rest.bit_length() - 1
             below |= strict[z]
             rest &= ~down[z]
-        lower.append(list(_bits(strict[y] & ~below)))
-        for x in lower[y]:
+        covered = strict[y] & ~below
+        lower.append(covered)
+        for x in _bits(covered):
             parents[x].append(y)
+            upper[x] |= 1 << y
 
-    maximals = [x for x in range(n) if not parents[x]]
+    maximals = [x for x in range(n) if not upper[x]]
     element = dict(zip(down, range(n)))
-    _check_meets(names, down, element, lower + [maximals])
+    _check_meets(names, down, element,
+                 lower + [sum(1 << x for x in maximals)])
 
     # each cover (x, p) proposes rank(x) + 1 for p, and two different
     # proposals for the same p leave the structure unranked
@@ -253,6 +272,8 @@ def _from_down_masks(names, down):
         up=tuple(up),
         down=tuple(down),
         covers=tuple((x, p) for x in range(n) for p in parents[x]),
+        upper=tuple(upper),
+        lower=tuple(lower),
         element=element,
         bottom=bottom,
         top=maximals[0] if len(maximals) == 1 else None,
@@ -266,8 +287,9 @@ def _check_meets(names, down, element, groups):
 
     The meet of x and y exists exactly when down[x] & down[y] is the
     down-set of an element, a key of ``element``.  Only the pairs within
-    one of ``groups`` are tested: the lower covers of each element, and the
-    maximal elements (the lower covers of a virtual top).  That suffices.
+    one of ``groups``, masks of elements, are tested: the lower covers of
+    each element, and the maximal elements (the lower covers of a virtual
+    top).  That suffices.
     Were some pair without a meet, take z minimal among the common upper
     bounds of such pairs (the virtual top when none has one), a pair a, b
     under it, and lower covers a' >= a and b' >= b of z.  Then c = a' ^ b'
@@ -277,7 +299,8 @@ def _check_meets(names, down, element, groups):
     Only when a tested pair fails are all pairs scanned, in index order, so
     the error names the first pair without a meet in that order.
     """
-    for group in groups:
+    # a group of fewer than two elements holds no pair
+    for group in (list(_bits(g)) for g in groups if g & (g - 1)):
         for i, a in enumerate(group):
             for b in group[i + 1:]:
                 if down[a] & down[b] not in element:
@@ -332,7 +355,7 @@ def product(lattice, other):
 
 def atoms(lattice):
     """Elements covering the bottom, as a frozenset."""
-    return frozenset(p for c, p in lattice.covers if c == lattice.bottom)
+    return frozenset(_bits(lattice.upper[lattice.bottom]))
 
 
 def is_atomic(lattice):

@@ -7,7 +7,8 @@ counterexample on non-RC lattices, and exhaustive search over families with
 sound subset pruning.  On an RC lattice that satisfies Birkhoff's cover
 condition, a geometric one, mu is nonvanishing by Rota's theorem, and the
 first certificate is read off the covers; any other RC lattice reads both
-certificates off the Mobius table.
+certificates off the Mobius table.  RC and the cover condition read the
+lattice's cover masks, ``upper`` and ``lower``.
 """
 
 from dataclasses import dataclass
@@ -49,15 +50,7 @@ class RcWitness:
     y: int
 
 
-def _upper_covers(lattice):
-    """upper[x]: the mask of the elements that cover x."""
-    upper = [0] * lattice.n
-    for c, p in lattice.covers:
-        upper[c] |= 1 << p
-    return upper
-
-
-def is_rc(lattice, upper=None):
+def is_rc(lattice):
     """None when relatively complemented, else the first 3-element interval.
 
     Uses the interval characterization: a finite lattice is RC iff no pair
@@ -66,13 +59,11 @@ def is_rc(lattice, upper=None):
     upper covers are tested, in ascending index for each x in turn.  Every
     other pair x < y holds no witness, so the first witness in (x, y)
     index order is the one a scan of all pairs would find, and the result
-    is deterministic.  ``upper`` is :func:`_upper_covers` of the lattice,
-    computed when not given.
+    is deterministic.  The upper covers are read from ``lattice.upper``.
     """
     up = lattice.up
     down = lattice.down
-    if upper is None:
-        upper = _upper_covers(lattice)
+    upper = lattice.upper
     for x in range(lattice.n):
         two_step = 0
         for c in _bits(upper[x]):
@@ -86,10 +77,9 @@ def is_rc(lattice, upper=None):
     return None
 
 
-def _cover_condition(lattice, upper):
+def _cover_condition(lattice):
     """True when any two distinct upper covers of an element have a common
-    upper cover (Birkhoff's cover condition); ``upper`` is
-    :func:`_upper_covers` of the lattice.
+    upper cover (Birkhoff's cover condition).
 
     reach[a], a itself and the lower covers of its upper covers, holds
     every element that shares an upper cover with a.  The condition holds
@@ -97,9 +87,8 @@ def _cover_condition(lattice, upper):
     AND per cover pair, and no meet is read.
     """
     covers = lattice.covers
-    lower = [0] * lattice.n
-    for c, p in covers:
-        lower[p] |= 1 << c
+    upper = lattice.upper
+    lower = lattice.lower
     reach = [1 << a for a in range(lattice.n)]
     for c, p in covers:
         reach[c] |= lower[p]
@@ -109,7 +98,7 @@ def _cover_condition(lattice, upper):
     return True
 
 
-def _rc_vanishing_pairs(lattice, upper):
+def _rc_vanishing_pairs(lattice):
     """The pairs x <= y with mu(x, y) = 0 of an RC lattice, in index order.
 
     Empty when the cover condition holds (:func:`_cover_condition`), without
@@ -131,7 +120,7 @@ def _rc_vanishing_pairs(lattice, upper):
        foundations of combinatorial theory I", 1964, 7).  mu(x, y) depends
        on [x, y] alone, so it is not 0 for any x <= y.
     """
-    if _cover_condition(lattice, upper):
+    if _cover_condition(lattice):
         return []
     return vanishing_pairs(lattice)
 
@@ -322,10 +311,9 @@ def is_ssp(lattice, strategy="auto", budget=DEFAULT_BUDGET):
     if strategy not in ("auto", "brute", "certificate"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy != "brute":
-        upper = _upper_covers(lattice)
-        witness = is_rc(lattice, upper)
+        witness = is_rc(lattice)
         if witness is None:
-            vanishing = _rc_vanishing_pairs(lattice, upper)
+            vanishing = _rc_vanishing_pairs(lattice)
             if not vanishing:
                 return SspVerdict(CERTIFIED, CERT_NONVANISHING, None, 0)
             # distinct pairs in index order lie in {(bottom, top)} exactly
@@ -377,9 +365,7 @@ def antichain_check(lattice, antichain, family):
         if not any(lattice.leq(z, a) or lattice.leq(a, z) for a in aset):
             raise NotMaximalAntichain(
                 f"{lattice.names[z]!r} is incomparable to the whole antichain")
-    upper = _upper_covers(lattice)
-    if (is_rc(lattice, upper) is not None
-            or _rc_vanishing_pairs(lattice, upper)):
+    if is_rc(lattice) is not None or _rc_vanishing_pairs(lattice):
         raise PreconditionViolated("Mobius function vanishes on this lattice")
     fam = frozenset(family)
     for a in aset:

@@ -12,8 +12,9 @@ from itertools import combinations, product as iproduct
 import pytest
 
 import latticevc as lv
-from latticevc.core import _bits
-from latticevc.errors import NotMeetSemilattice
+from latticevc.builders import _is_prime, _subset_name, _subspaces, qbinom
+from latticevc.core import MAX_ELEMENTS, _bits, _check_size
+from latticevc.errors import CheckFailed, NotMeetSemilattice, NotPrime
 from latticevc.search import canonical_key
 
 
@@ -328,3 +329,91 @@ def oracle_order_key(up, down):
 def random_family(lattice, rng):
     members = [i for i in range(lattice.n) if rng.random() < 0.5]
     return frozenset(members)
+
+
+def graphic_matroid(vertices, edges):
+    """The graphic matroid: edge sets without a cycle, by union-find."""
+    def acyclic(subset):
+        root = list(range(vertices))
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+        for i in subset:
+            u, v = map(find, edges[i])
+            if u == v:
+                return False
+            root[u] = v
+        return True
+    return lv.MatroidSpec.make(len(edges), [
+        s for d in range(len(edges) + 1)
+        for s in combinations(range(len(edges)), d) if acyclic(s)])
+
+
+# ---------------------------------------------------------------------------
+# builder oracles: the same lattices from cover lists through from_covers,
+# with the builders' guards in the same order; the builders compute the
+# down-masks themselves and must give identical fields and errors
+# ---------------------------------------------------------------------------
+
+def oracle_boolean(n):
+    if n < 0:
+        raise ValueError("boolean lattice dimension must be non-negative")
+    _check_size(1 << min(n, MAX_ELEMENTS.bit_length()), f"boolean({n})")
+    size = 1 << n
+    names = [_subset_name(m, n) for m in range(size)]
+    covers = [(m, m | (1 << i))
+              for m in range(size) for i in range(n) if not (m >> i) & 1]
+    return lv.from_covers(size, names, covers)
+
+
+def oracle_chain(k):
+    if k < 0:
+        raise ValueError("chain length must be non-negative")
+    _check_size(k + 1, f"chain({k})")
+    return lv.from_covers(k + 1, [str(i) for i in range(k + 1)],
+                          [(i, i + 1) for i in range(k)])
+
+
+def oracle_subspace_lattice(q, n):
+    exponent = max(0, min(n, MAX_ELEMENTS.bit_length()))
+    _check_size(min(q, MAX_ELEMENTS + 1) ** exponent,
+                f"F_{q}^{n} in subspace_lattice({q}, {n})")
+    if not _is_prime(q):
+        raise NotPrime(f"{q} is not prime")
+    if n < 1:
+        raise ValueError("ambient dimension must be at least 1")
+    _check_size(sum(qbinom(n, d, q) for d in range(n + 1)),
+                f"subspace_lattice({q}, {n})")
+    subs = _subspaces(q, n)
+    vecsets = [s.vectors() for s in subs]
+    by_dim = [[] for _ in range(n + 2)]
+    for i, s in enumerate(subs):
+        by_dim[s.dim()].append(i)
+    covers = [(i, j) for i, s in enumerate(subs) for j in by_dim[s.dim() + 1]
+              if vecsets[i] <= vecsets[j]]
+    return lv.from_covers(len(subs), [s.name() for s in subs], covers)
+
+
+def oracle_from_matroid(spec):
+    _check_size(2 ** min(spec.ground_size, MAX_ELEMENTS.bit_length()),
+                f"the power set of {spec.ground_size} ground elements")
+    spec.validate()
+    ground = frozenset(range(spec.ground_size))
+    subsets = [frozenset(c) for d in range(spec.ground_size + 1)
+               for c in combinations(sorted(ground), d)]
+    rank_of = {s: spec.subset_rank(s) for s in subsets}
+    flats = [s for s in subsets
+             if all(rank_of[s | {x}] > rank_of[s] for x in ground - s)]
+    flats.sort(key=lambda s: (len(s), sorted(s)))
+    names = [_subset_name(sum(1 << x for x in s), spec.ground_size)
+             for s in flats]
+    lattice = lv.from_covers(len(flats), names,
+                             [(i, j) for i, s in enumerate(flats)
+                              for j, t in enumerate(flats) if s < t])
+    if lattice.rank is None:
+        raise CheckFailed("the lattice of flats is not ranked")
+    if any(lattice.rank[i] != rank_of[s] for i, s in enumerate(flats)):
+        raise CheckFailed("lattice rank differs from matroid rank")
+    return lattice

@@ -14,6 +14,18 @@ from latticevc.errors import (
 )
 from latticevc.search import canonical_key
 
+from conftest import (
+    graphic_matroid,
+    oracle_boolean,
+    oracle_chain,
+    oracle_from_matroid,
+    oracle_subspace_lattice,
+)
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("called after the size check should have refused")
+
 
 def test_boolean_degenerate():
     b0 = lv.boolean(0)
@@ -31,9 +43,12 @@ def test_boolean_top_mobius_sign():
     assert lv.mobius_table(b4).mu(b4.bottom, b4.top) == 1
 
 
-def test_boolean_guard():
+def test_boolean_guard(monkeypatch):
+    monkeypatch.setattr(builders, "_from_down_masks", _must_not_run)
     with pytest.raises(TooLarge):
         lv.boolean(21)
+    with pytest.raises(TooLarge):
+        lv.boolean(10**6)
     with pytest.raises(ValueError):
         lv.boolean(-1)
 
@@ -47,12 +62,8 @@ def test_chain():
         lv.chain(-1)
 
 
-def _must_not_run(*args, **kwargs):
-    raise AssertionError("called after the size check should have refused")
-
-
 def test_chain_guard_before_building(monkeypatch):
-    monkeypatch.setattr(builders, "from_covers", _must_not_run)
+    monkeypatch.setattr(builders, "_from_down_masks", _must_not_run)
     with pytest.raises(TooLarge):
         lv.chain(10**6)
     with pytest.raises(TooLarge):
@@ -169,9 +180,13 @@ def test_subspace_rank_counts_match_qbinom():
 # matroids
 # ---------------------------------------------------------------------------
 
-def free_matroid(n):
-    return lv.MatroidSpec.make(n, [s for d in range(n + 1)
+def uniform_matroid(r, n):
+    return lv.MatroidSpec.make(n, [s for d in range(r + 1)
                                    for s in combinations(range(n), d)])
+
+
+def free_matroid(n):
+    return uniform_matroid(n, n)
 
 
 def test_from_matroid_free_is_boolean():
@@ -243,6 +258,63 @@ def test_matroid_axioms_rejected():
         lv.from_matroid(lv.MatroidSpec.make(
             4, [s for d in range(4) for s in combinations(range(3), d)]
             + [(3,)]))
+
+
+# ---------------------------------------------------------------------------
+# builders against their cover-list oracles
+# ---------------------------------------------------------------------------
+
+def _outcome(build, *args):
+    """(None, every stored field of the result), or the error's type and
+    text."""
+    try:
+        lattice = build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None, vars(lattice)
+
+
+def test_builders_match_cover_list_oracles():
+    for n in [*range(12), -1, 12, 21]:
+        assert _outcome(lv.boolean, n) == _outcome(oracle_boolean, n), n
+    for k in [*range(61), 2047, 2048, -1]:
+        assert _outcome(lv.chain, k) == _outcome(oracle_chain, k), k
+    # every subspace lattice the cap admits for q <= 13, up to the first
+    # refused n
+    checked = 0
+    for q in (2, 3, 5, 7, 11, 13):
+        n = 1
+        while True:
+            outcome = _outcome(lv.subspace_lattice, q, n)
+            assert outcome == _outcome(oracle_subspace_lattice, q, n), (q, n)
+            if outcome[0] is TooLarge:
+                break
+            checked += 1
+            n += 1
+    for q, n in ((13, 3), (2, 6), (4, 2), (1, 2), (-3, 2), (2, 0), (2, 18)):
+        outcome = _outcome(lv.subspace_lattice, q, n)
+        assert outcome[0] is not None, (q, n)
+        assert outcome == _outcome(oracle_subspace_lattice, q, n), (q, n)
+    specs = [uniform_matroid(r, n) for n in range(8) for r in range(n + 1)]
+    specs += [graphic_matroid(4, list(combinations(range(4), 2))),
+              lv.MatroidSpec(12, (frozenset(),)),
+              lv.MatroidSpec(2, (frozenset(), frozenset({0, 1}))),
+              lv.MatroidSpec.make(3, [(), (0,), (1,), (2,), (0, 1)])]
+    for spec in specs:
+        assert (_outcome(lv.from_matroid, spec)
+                == _outcome(oracle_from_matroid, spec)), spec
+    # q = 2, 3, 5, 7, 11, 13 are admitted up to n = 5, 4, 4, 3, 3, 2
+    assert checked == 21
+
+
+def test_builders_do_not_call_from_covers(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a builder went through from_covers")
+    monkeypatch.setattr(builders, "from_covers", refuse)
+    assert lv.boolean(3).n == 8
+    assert lv.chain(3).n == 4
+    assert lv.subspace_lattice(2, 3).n == 16
+    assert lv.from_matroid(uniform_matroid(2, 3)).n == 5
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import latticevc as lv
-from latticevc import cli, core
+from latticevc import builders, cli, core
 from latticevc.core import _bits
 from latticevc.errors import (
     LatticeFormatError,
@@ -198,7 +198,8 @@ def test_meet_check_matches_oracle_random():
 
 
 def test_order_fields_match_definition():
-    # up-sets, covers and linear extension of masks in any index order
+    # up-sets, covers, cover masks and linear extension of masks in any
+    # index order
     checked = 0
     for down in _random_posets(1000):
         n = len(down)
@@ -212,6 +213,10 @@ def test_order_fields_match_definition():
         assert lat.covers == tuple(
             (x, y) for x in range(n) for y in range(n)
             if x != y and up[x] & down[y] == 1 << x | 1 << y)
+        assert lat.upper == tuple(sum(1 << y for c, y in lat.covers if c == x)
+                                  for x in range(n))
+        assert lat.lower == tuple(sum(1 << x for x, p in lat.covers if p == y)
+                                  for y in range(n))
         position = {x: i for i, x in enumerate(lat.linext)}
         assert sorted(position) == list(range(n))
         assert all(position[x] < position[y] for x, y in lat.covers)
@@ -332,6 +337,7 @@ def test_element_cap_refuses_before_construction(monkeypatch):
         return construct(names, down)
 
     monkeypatch.setattr(core, "_from_down_masks", recording)
+    monkeypatch.setattr(builders, "_from_down_masks", recording)
     with pytest.raises(TooLarge):
         lv.from_covers(core.MAX_ELEMENTS + 1, None, [])
     with pytest.raises(TooLarge):

@@ -21,6 +21,7 @@ from latticevc.errors import (
 )
 
 from conftest import (
+    graphic_matroid,
     naive_shattered_set,
     naive_violating_families,
     oracle_is_rc,
@@ -188,29 +189,9 @@ def test_geometric_lattice_builds_no_mobius_table(monkeypatch):
     assert report.bound_size == 1
 
 
-def _forests(vertices, edges):
-    # the graphic matroid: edge sets without a cycle, by union-find
-    def acyclic(subset):
-        root = list(range(vertices))
-
-        def find(v):
-            while root[v] != v:
-                v = root[v]
-            return v
-        for i in subset:
-            u, v = map(find, edges[i])
-            if u == v:
-                return False
-            root[u] = v
-        return True
-    return lv.MatroidSpec.make(len(edges), [
-        s for d in range(len(edges) + 1)
-        for s in combinations(range(len(edges)), d) if acyclic(s)])
-
-
 def _partition_lattice_4():
     # the flats of the graphic matroid of K4: the 15 partitions of 4 points
-    return lv.from_matroid(_forests(4, list(combinations(range(4), 2))))
+    return lv.from_matroid(graphic_matroid(4, list(combinations(range(4), 2))))
 
 
 def test_rc_lattice_without_cover_condition_reads_mobius_table(monkeypatch):
@@ -227,7 +208,7 @@ def test_rc_lattice_without_cover_condition_reads_mobius_table(monkeypatch):
     pi4_dual = lv.from_covers(pi4.n, pi4.names,
                               [(p, c) for c, p in pi4.covers])
     assert pi4_dual.n == 15 and oracle_is_rc(pi4_dual) is None
-    assert not ssp._cover_condition(pi4_dual, ssp._upper_covers(pi4_dual))
+    assert not ssp._cover_condition(pi4_dual)
     for strategy in ("auto", "certificate"):
         assert lv.is_ssp(pi4_dual, strategy) == ssp.SspVerdict(
             ssp.CERTIFIED, ssp.CERT_NONVANISHING, None, 0)
@@ -241,7 +222,7 @@ def test_rc_lattice_without_cover_condition_reads_mobius_table(monkeypatch):
     # condition holds, but a 3-element chain is not RC
     calls.clear()
     c2 = lv.chain(2)
-    assert ssp._cover_condition(c2, ssp._upper_covers(c2))
+    assert ssp._cover_condition(c2)
     verdict = lv.is_ssp(c2, "auto")
     assert (verdict.outcome, verdict.certificate_kind) == (ssp.VIOLATED,
                                                            ssp.CERT_NON_RC)
@@ -306,7 +287,7 @@ def test_certificate_matches_definition(corpus):
         text = lv.emit_lattice_text(lat)
         assert lv.is_ssp(lat, "certificate") == _certificate_by_definition(
             lat), text
-        cover = ssp._cover_condition(lat, ssp._upper_covers(lat))
+        cover = ssp._cover_condition(lat)
         assert cover == _oracle_cover_condition(lat), text
         if cover and oracle_is_rc(lat) is None:
             # the cover route's claim: mu never vanishes, and it alternates

@@ -146,10 +146,19 @@ def subspace_lattice(q, n):
     Elements are labelled by their reduced echelon bases ("0" for the zero
     space, rows joined by dots otherwise), so equal labels mean equal
     subspaces.  The q^n vectors of F_q^n count against MAX_ELEMENTS first,
-    on clamped arguments.  That guard bounds the vector sets that decide
-    the order, and it also keeps the labels unique: rows with two-digit
-    entries (q >= 11) join to equal digits only past it, as (1,1,12) and
-    (1,11,2) do at q = 13, n = 3.
+    on clamped arguments.  That guard bounds the projective points, fewer
+    than q^n, that the point masks range over, and it also keeps the labels
+    unique: rows with two-digit entries (q >= 11) join to equal digits only
+    past it, as (1,1,12) and (1,11,2) do at q = 13, n = 3.
+
+    Each subspace is held as the mask of its projective points, the
+    vectors whose first nonzero entry is 1; the point with echelon row r is
+    bit t of the line with basis (r,), element t.  Let T have echelon rows
+    (r1, ..., rd), and S rows (r2, ..., rd): S is in echelon form and comes
+    earlier.  The points of T off S are r1 and r1 + a*w, for each point w
+    of S and each a in F_q^*: r1's pivot precedes every pivot of S, so each
+    of them is normalised.  U <= T exactly when U's mask lies inside T's,
+    and a mask of the wrong size raises CheckFailed.
     """
     exponent = max(0, min(n, MAX_ELEMENTS.bit_length()))
     _check_size(min(q, MAX_ELEMENTS + 1) ** exponent,
@@ -161,7 +170,27 @@ def subspace_lattice(q, n):
     _check_size(sum(qbinom(n, d, q) for d in range(n + 1)),
                 f"subspace_lattice({q}, {n})")
     subs = _subspaces(q, n)
-    vecsets = [s.vectors() for s in subs]
+    index = {s.basis: t for t, s in enumerate(subs)}
+    point = {s.basis[0]: t for t, s in enumerate(subs) if s.dim() == 1}
+    scalars = range(1, q)
+    pts = []
+    for s in subs:
+        if not s.basis:
+            pts.append(0)
+            continue
+        r1 = s.basis[0]
+        mask = pts[index[s.basis[1:]]]
+        spanned = 1 << point[r1]
+        for w in _bits(mask):
+            row = subs[w].basis[0]
+            for a in scalars:
+                spanned |= 1 << point[tuple((x + a * y) % q
+                                            for x, y in zip(r1, row))]
+        mask |= spanned
+        if mask.bit_count() != (q ** s.dim() - 1) // (q - 1):
+            raise CheckFailed(f"subspace {s.name()} has "
+                              f"{mask.bit_count()} points")
+        pts.append(mask)
     # the subspaces come in ascending dimension, and T's down-set is T
     # with the down-sets of its subspaces of one dimension less;
     # by_dim[d + 1] lists the subspaces of dimension d
@@ -170,7 +199,7 @@ def subspace_lattice(q, n):
     for t, s in enumerate(subs):
         mask = 1 << t
         for u in by_dim[s.dim()]:
-            if vecsets[u] <= vecsets[t]:
+            if pts[u] & ~pts[t] == 0:
                 mask |= down[u]
         by_dim[s.dim() + 1].append(t)
         down.append(mask)

@@ -4,11 +4,12 @@ A lattice is SSP when every family F shatters at least |F| elements.  Three
 routes are implemented: certificates (nonvanishing Mobius function, or RC
 with mu vanishing only on the bottom-to-top pair), the constructive
 counterexample on non-RC lattices, and exhaustive search over families with
-sound subset pruning.  On an RC lattice that satisfies Birkhoff's cover
-condition, a geometric one, mu is nonvanishing by Rota's theorem, and the
-first certificate is read off the covers; any other RC lattice reads both
-certificates off the Mobius table.  RC and the cover condition read the
-lattice's cover masks, ``upper`` and ``lower``.
+sound subset pruning.  An atomistic lattice that satisfies Birkhoff's
+cover condition is geometric: it is RC and mu is nonvanishing by Rota's
+theorem, so both are read off the covers, with no interval scan and no
+Mobius table.  Any other lattice scans its intervals for RC, and an RC one
+reads both certificates off the Mobius table.  RC and the cover condition
+read the lattice's cover masks, ``upper`` and ``lower``.
 """
 
 from dataclasses import dataclass
@@ -53,13 +54,71 @@ class RcWitness:
 def is_rc(lattice):
     """None when relatively complemented, else the first 3-element interval.
 
-    Uses the interval characterization: a finite lattice is RC iff no pair
-    x < y has exactly one element strictly between.  Such an interval is a
-    two-step cover path x < z < y, so only the y reached from x by two
-    upper covers are tested, in ascending index for each x in turn.  Every
-    other pair x < y holds no witness, so the first witness in (x, y)
-    index order is the one a scan of all pairs would find, and the result
-    is deterministic.  The upper covers are read from ``lattice.upper``.
+    A finite lattice is RC iff no pair x < y has exactly one element
+    strictly between.  An atomistic lattice (:func:`_atomistic`) with
+    Birkhoff's cover condition (:func:`_cover_condition`) is RC, and no
+    interval is read (:func:`_rc_route`).  Any other lattice is scanned
+    (:func:`_interval_scan`) for the first witness in (x, y) index order.
+    The atomistic test runs first and stops at the first cover that adds
+    no atom, as it does on most non-RC lattices.  All three read the cover
+    masks ``upper`` and ``lower``.
+    """
+    return _rc_route(lattice)[0]
+
+
+def _rc_route(lattice):
+    """(witness, geometric): what :func:`is_rc` returns, and whether the
+    lattice is RC and satisfies the cover condition.
+
+    The atomistic test runs first, then the cover condition, and the
+    interval scan only when one of them fails.  The cover route is sound:
+    an atomistic finite meet-semilattice with the cover condition is RC.
+    Suppose [x, y] = {x, z, y} is a 3-element interval.
+
+    1. [0, y] is a finite lattice: elements below y have y as an upper
+       bound, so their join is the meet of their upper bounds.  It
+       satisfies the cover condition too: distinct upper covers u, v <= y
+       of an element have a common upper cover c, and c = u v v <= y.  So
+       [0, y] is upper semimodular, graded by a submodular rank function r
+       (Stanley, EC1, 3.3.2).
+    2. z < y is a cover, so by atomisticity some atom a <= y has a </= z,
+       hence a </= x and a ^ x = 0.  a v x lies in [x, y] and is neither x
+       nor z, so a v x = y, and submodularity gives
+       r(y) <= r(a) + r(x) - r(0) = r(x) + 1, against r(y) = r(x) + 2.
+
+    The converse, RC implies atomistic, is step 1 of
+    :func:`_rc_vanishing_pairs`, so a lattice that fails the atomistic
+    test always has a witness.
+    """
+    if _atomistic(lattice) and _cover_condition(lattice):
+        return None, True
+    return _interval_scan(lattice), False
+
+
+def _atomistic(lattice):
+    """True when every element is the join of the atoms below it.
+
+    That fails exactly when some cover z < y has the same atoms below
+    both: the join of y's atoms then lies below some lower cover z of y,
+    and conversely y is not the join of atoms that all lie below z.  One
+    AND per cover, stopping at the first failure.
+    """
+    down = lattice.down
+    atoms = lattice.upper[lattice.bottom]
+    for z, y in lattice.covers:
+        if down[y] & ~down[z] & atoms == 0:
+            return False
+    return True
+
+
+def _interval_scan(lattice):
+    """The first 3-element interval in (x, y) index order, or None.
+
+    Such an interval is a two-step cover path x < z < y, so only the y
+    reached from x by two upper covers are tested, in ascending index for
+    each x in turn.  Every other pair x < y holds no witness, so the first
+    witness in (x, y) index order is the one a scan of all pairs would
+    find, and the result is deterministic.
     """
     up = lattice.up
     down = lattice.down
@@ -98,12 +157,13 @@ def _cover_condition(lattice):
     return True
 
 
-def _rc_vanishing_pairs(lattice):
+def _rc_vanishing_pairs(lattice, geometric):
     """The pairs x <= y with mu(x, y) = 0 of an RC lattice, in index order.
 
-    Empty when the cover condition holds (:func:`_cover_condition`), without
-    a Mobius table; else ``vanishing_pairs(lattice)``.  The cover route is
-    sound:
+    Empty when ``geometric``, the flag of :func:`_rc_route`: the lattice
+    satisfies the cover condition (:func:`_cover_condition`).  Then no
+    Mobius table is built; else this is ``vanishing_pairs(lattice)``.  The
+    cover route is sound:
 
     1. A finite RC lattice is atomistic.  Let s be the join of the atoms
        below y, and suppose s < y.  A complement c of s in [0, y] is not 0
@@ -120,7 +180,7 @@ def _rc_vanishing_pairs(lattice):
        foundations of combinatorial theory I", 1964, 7).  mu(x, y) depends
        on [x, y] alone, so it is not 0 for any x <= y.
     """
-    if _cover_condition(lattice):
+    if geometric:
         return []
     return vanishing_pairs(lattice)
 
@@ -304,16 +364,18 @@ def is_ssp(lattice, strategy="auto", budget=DEFAULT_BUDGET):
     Every Violated verdict is re-verified from the definition before
     returning.  The certificates read no meet; the witness checks and the
     family search read each meet x ^ y from ``lattice.element`` as the
-    element whose down-set is down[x] & down[y].  On an RC lattice with
-    Birkhoff's cover condition, a geometric one, mu is nonvanishing and no
-    Mobius table is built either (see :func:`_rc_vanishing_pairs`).
+    element whose down-set is down[x] & down[y].  An atomistic lattice with
+    Birkhoff's cover condition, a geometric one, is RC with nonvanishing
+    mu, so it is certified with no interval scan and no Mobius table (see
+    :func:`_rc_route` and :func:`_rc_vanishing_pairs`); the cover condition
+    is tested once, by :func:`_rc_route`.
     """
     if strategy not in ("auto", "brute", "certificate"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy != "brute":
-        witness = is_rc(lattice)
+        witness, geometric = _rc_route(lattice)
         if witness is None:
-            vanishing = _rc_vanishing_pairs(lattice)
+            vanishing = _rc_vanishing_pairs(lattice, geometric)
             if not vanishing:
                 return SspVerdict(CERTIFIED, CERT_NONVANISHING, None, 0)
             # distinct pairs in index order lie in {(bottom, top)} exactly
@@ -365,7 +427,8 @@ def antichain_check(lattice, antichain, family):
         if not any(lattice.leq(z, a) or lattice.leq(a, z) for a in aset):
             raise NotMaximalAntichain(
                 f"{lattice.names[z]!r} is incomparable to the whole antichain")
-    if is_rc(lattice) is not None or _rc_vanishing_pairs(lattice):
+    witness, geometric = _rc_route(lattice)
+    if witness is not None or _rc_vanishing_pairs(lattice, geometric):
         raise PreconditionViolated("Mobius function vanishes on this lattice")
     fam = frozenset(family)
     for a in aset:

@@ -6,6 +6,7 @@ import latticevc as lv
 from latticevc import builders
 from latticevc.builders import _subspaces
 from latticevc.errors import (
+    CheckFailed,
     DimensionTooSmall,
     NotAMatroid,
     NotPrime,
@@ -315,6 +316,42 @@ def test_builders_do_not_call_from_covers(monkeypatch):
     assert lv.chain(3).n == 4
     assert lv.subspace_lattice(2, 3).n == 16
     assert lv.from_matroid(uniform_matroid(2, 3)).n == 5
+
+
+def test_subspace_lattice_does_not_span(monkeypatch):
+    # the builder works on projective point masks: every subspace lattice
+    # of the oracle test above builds, or is refused by the same typed
+    # error, without spanning a vector set
+    def refuse(*args, **kwargs):
+        raise AssertionError("subspace_lattice spanned a vector set")
+    monkeypatch.setattr(builders, "_span", refuse)
+    built = 0
+    for q in (2, 3, 5, 7, 11, 13):
+        n = 1
+        while True:
+            try:
+                lat = lv.subspace_lattice(q, n)
+            except TooLarge:
+                break
+            assert lat.n == sum(lv.qbinom(n, d, q) for d in range(n + 1))
+            built += 1
+            n += 1
+    assert built == 21
+    for q, n, error in ((13, 3, TooLarge), (2, 6, TooLarge),
+                        (4, 2, NotPrime), (1, 2, NotPrime),
+                        (-3, 2, NotPrime), (2, 0, ValueError),
+                        (2, 18, TooLarge)):
+        with pytest.raises(error):
+            lv.subspace_lattice(q, n)
+
+
+def test_subspace_point_mask_size_is_checked(monkeypatch):
+    # a point enumeration that yields no point of the smaller subspace S
+    # leaves each 2-dimensional mask one point short: the count check
+    # refuses it, also under python -O
+    monkeypatch.setattr(builders, "_bits", lambda mask: iter(()))
+    with pytest.raises(CheckFailed, match="has 2 points"):
+        lv.subspace_lattice(2, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 import latticevc as lv
 from latticevc import ssp
 from latticevc.cli import load_source
+from latticevc.core import _bits
 from latticevc.errors import (
     FactorNotSSP,
     NotALattice,
@@ -83,6 +84,90 @@ def test_is_rc_matches_all_pairs_oracle(corpus):
         for case in cases:
             assert lv.is_rc(case) == oracle_is_rc(case), (
                 lv.emit_lattice_text(case))
+
+
+_SSP_AUTO_SOURCES = (
+    "boolean:7", "boolean:8", "boolean:9", "subspace:2:5", "subspace:3:4",
+    "subspace:7:3", "product(boolean:3,subspace:2:3)",
+    "product(subspace:2:3,subspace:3:2)", "fig1", "fig2", "fig3b",
+    "chain:60", "product(fig3b,fig3b)", "product(chain:2,boolean:4)")
+
+
+def test_rc_route_matches_all_pairs_oracle(corpus):
+    # the atomistic test and the cover condition decide RC without the
+    # interval scan where both hold; the witness, or None, is the oracle's
+    # on every lattice with n <= 9, every interval of the corpus, the
+    # lattices of the ssp-auto benchmark, and meet-semilattices with no top
+    lattices = [lat for n in range(1, 10) for lat in lv.enumerate_lattices(n)]
+    assert len(lattices) == 1378
+    lattices += [_topless(lat) for lat in lattices if lat.n > 1]
+    for lat in corpus.values():
+        for x in range(lat.n):
+            for y in _bits(lat.up[x]):
+                lattices.append(lv.interval(lat, x, y)[0])
+    lattices += [load_source(source) for source in _SSP_AUTO_SOURCES]
+    lattices.append(_topless(lv.boolean(4)))
+    lattices.append(lv.from_covers(3, ["0", "a", "b"], [(0, 1), (0, 2)]))
+    for lat in lattices:
+        text = lv.emit_lattice_text(lat)
+        assert lv.is_rc(lat) == oracle_is_rc(lat), text
+        assert ssp._atomistic(lat) == _oracle_atomistic(lat), text
+
+
+def _oracle_atomistic(lattice):
+    # every y is the least element above all the atoms below it
+    atoms = lv.atoms(lattice)
+    for y in range(lattice.n):
+        above = lattice.up[lattice.bottom]
+        for a in atoms & lattice.downset(y):
+            above &= lattice.up[a]
+        if above & lattice.down[y] != 1 << y:
+            return False
+    return True
+
+
+def test_rc_route_scans_only_when_needed(monkeypatch):
+    scanned = []
+    scan = ssp._interval_scan
+
+    def counted_scan(lattice):
+        scanned.append(lattice.n)
+        return scan(lattice)
+    monkeypatch.setattr(ssp, "_interval_scan", counted_scan)
+    # geometric: atomistic with the cover condition, so RC with no scan
+    for source in ("boolean:9", "subspace:2:5",
+                   "product(boolean:3,subspace:2:3)"):
+        lat = load_source(source)
+        assert lv.is_rc(lat) is None
+        assert lv.is_ssp(lat) == ssp.SspVerdict(
+            ssp.CERTIFIED, ssp.CERT_NONVANISHING, None, 0)
+    assert scanned == []
+    # fig3b is atomistic but fails the cover condition (atoms 1 and 4 have
+    # no common upper cover): the scan finds its witness
+    f3 = lv.fig3b()
+    assert ssp._atomistic(f3) and not ssp._cover_condition(f3)
+    w = lv.is_rc(f3)
+    assert (f3.names[w.x], f3.names[w.z], f3.names[w.y]) == ("4", "45", "[5]")
+    assert scanned == [11]
+    # fig1 is RC, but its atom 4 shares no upper cover with atom 1
+    assert lv.is_rc(lv.fig1()) is None
+    assert scanned == [11, 9]
+
+
+def test_cover_condition_runs_once_per_verdict(monkeypatch):
+    calls = []
+    cover = ssp._cover_condition
+
+    def counted_cover(lattice):
+        calls.append(lattice.n)
+        return cover(lattice)
+    monkeypatch.setattr(ssp, "_cover_condition", counted_cover)
+    b3 = lv.boolean(3)
+    for strategy in ("auto", "certificate"):
+        assert lv.is_ssp(b3, strategy).certificate_kind == ssp.CERT_NONVANISHING
+    report = lv.antichain_check(b3, [1, 2, 4], [])
+    assert report.bound_size == 1
+    assert calls == [8, 8, 8]
 
 
 def test_non_rc_family_path():

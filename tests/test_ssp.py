@@ -68,24 +68,6 @@ def test_auto_verdict_carries_rc_status():
             assert (lv.is_rc(lat) is None) == (kind != ssp.CERT_NON_RC)
 
 
-def test_is_rc_matches_all_pairs_oracle(corpus):
-    # the two-step cover walk finds the witness that the scan of all pairs
-    # finds first, on every lattice with n <= 8 and the corpus, as met and
-    # under two seeded relabelings
-    lattices = [lat for n in range(1, 9) for lat in lv.enumerate_lattices(n)]
-    lattices += corpus.values()
-    rng = random.Random(16)
-    for lat in lattices:
-        cases = [lat]
-        for _ in range(2):
-            perm = list(range(lat.n))
-            rng.shuffle(perm)
-            cases.append(relabel(lat, perm))
-        for case in cases:
-            assert lv.is_rc(case) == oracle_is_rc(case), (
-                lv.emit_lattice_text(case))
-
-
 _SSP_AUTO_SOURCES = (
     "boolean:7", "boolean:8", "boolean:9", "subspace:2:5", "subspace:3:4",
     "subspace:7:3", "product(boolean:3,subspace:2:3)",
@@ -93,11 +75,13 @@ _SSP_AUTO_SOURCES = (
     "chain:60", "product(fig3b,fig3b)", "product(chain:2,boolean:4)")
 
 
-def test_rc_route_matches_all_pairs_oracle(corpus):
-    # the atomistic test and the cover condition decide RC without the
-    # interval scan where both hold; the witness, or None, is the oracle's
-    # on every lattice with n <= 9, every interval of the corpus, the
-    # lattices of the ssp-auto benchmark, and meet-semilattices with no top
+def test_is_rc_matches_all_pairs_oracle(corpus):
+    # the route (atomistic test, cover condition, then the two-step cover
+    # walk) finds the witness that the scan of all pairs finds first, or
+    # None with it, as met and under two seeded relabelings: on every
+    # lattice with n <= 9 and its topless version, every interval of the
+    # corpus, the ssp-auto benchmark's lattices, boolean:4 without its top
+    # and the two-atom V
     lattices = [lat for n in range(1, 10) for lat in lv.enumerate_lattices(n)]
     assert len(lattices) == 1378
     lattices += [_topless(lat) for lat in lattices if lat.n > 1]
@@ -108,10 +92,17 @@ def test_rc_route_matches_all_pairs_oracle(corpus):
     lattices += [load_source(source) for source in _SSP_AUTO_SOURCES]
     lattices.append(_topless(lv.boolean(4)))
     lattices.append(lv.from_covers(3, ["0", "a", "b"], [(0, 1), (0, 2)]))
+    rng = random.Random(16)
     for lat in lattices:
-        text = lv.emit_lattice_text(lat)
-        assert lv.is_rc(lat) == oracle_is_rc(lat), text
-        assert ssp._atomistic(lat) == _oracle_atomistic(lat), text
+        cases = [lat]
+        for _ in range(2):
+            perm = list(range(lat.n))
+            rng.shuffle(perm)
+            cases.append(relabel(lat, perm))
+        for case in cases:
+            text = lv.emit_lattice_text(case)
+            assert lv.is_rc(case) == oracle_is_rc(case), text
+            assert ssp._atomistic(case) == _oracle_atomistic(case), text
 
 
 def _oracle_atomistic(lattice):

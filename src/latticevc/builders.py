@@ -229,6 +229,8 @@ class MatroidSpec:
 
     def validate(self):
         """Raise NotAMatroid naming the violated axiom."""
+        if self.ground_size < 0:
+            raise NotAMatroid(f"negative ground size {self.ground_size}")
         isets = set(self.independents)
         if not isets:
             raise NotAMatroid("no independent sets (must contain the empty set)")

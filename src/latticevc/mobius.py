@@ -13,6 +13,11 @@ already filled with mu(x, z) = v, it is -sum_v v * |mask_v & down[y]|.  A
 row holds few distinct values (two on Boolean lattices and chains, at most
 rank + 1 on subspace lattices), so each entry costs a few ANDs and bit
 counts instead of one step per element of [x, y).
+
+A function that takes an optional ``table`` builds one when none is given,
+and raises ValueError when the given table's lattice has other up-sets: mu
+depends on the order alone, so a table of any lattice with the same order
+is accepted, and any other is refused.
 """
 
 from .core import _bits, _check_elements
@@ -82,10 +87,19 @@ def mobius_table(lattice):
     return MobiusTable(lattice, rows)
 
 
+def _table_for(lattice, table):
+    """``table``, checked to have the lattice's order, or a new table when
+    it is None."""
+    if table is None:
+        return mobius_table(lattice)
+    if table.lattice.up != lattice.up:
+        raise ValueError("the Mobius table is of a lattice with another order")
+    return table
+
+
 def vanishing_pairs(lattice, table=None):
     """Comparable pairs with mu = 0 in index order; empty iff nonvanishing."""
-    if table is None:
-        table = mobius_table(lattice)
+    table = _table_for(lattice, table)
     return [(x, y) for x, y, v in table.pairs() if v == 0]
 
 
@@ -100,8 +114,7 @@ def check_inversion(lattice, g, table=None):
     n = lattice.n
     if len(g) != n:
         raise ValueError(f"expected {n} values of g, got {len(g)}")
-    if table is None:
-        table = mobius_table(lattice)
+    table = _table_for(lattice, table)
     up = lattice.up
     down = lattice.down
     f_up = [sum(g[y] for y in _bits(up[x])) for x in range(n)]
@@ -117,7 +130,7 @@ def check_inversion(lattice, g, table=None):
     return True
 
 
-def weisner_check(lattice, table=None):
+def weisner_check(lattice):
     """Strict sign alternation: (-1)^(r(y)-r(x)) * mu(x, y) > 0 for all x <= y.
 
     Holds on every geometric lattice; in particular such lattices have
@@ -125,10 +138,8 @@ def weisner_check(lattice, table=None):
     """
     if lattice.rank is None:
         raise NotRanked("sign check needs a ranked lattice")
-    if table is None:
-        table = mobius_table(lattice)
     r = lattice.rank
-    for x, y, v in table.pairs():
+    for x, y, v in mobius_table(lattice).pairs():
         if (-1) ** (r[y] - r[x]) * v <= 0:
             return False
     return True

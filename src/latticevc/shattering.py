@@ -19,7 +19,7 @@ from .errors import (
     NoNonvanishingWitness,
     NotRanked,
 )
-from .mobius import mobius_table
+from .mobius import _table_for, mobius_table
 
 
 def _realized(lattice, family, y):
@@ -116,12 +116,12 @@ def elimination(lattice, family, z, table=None):
     meets z at x and mu(x, z) != 0, and returns the closed-form
     coefficients gamma_y = -mu(x, y) / mu(x, z) for x <= y < z (zero for
     other y < z).  The identity is verified on the family before returning.
+    A ``table`` passed in must have the lattice's order (ValueError).
     """
     fam = frozenset(family)
     if shatters(lattice, fam, z):
         raise ElementIsShattered(f"family shatters {lattice.names[z]!r}")
-    if table is None:
-        table = mobius_table(lattice)
+    table = _table_for(lattice, table)
     realized = realized_meets(lattice, fam, z)
     witness = None
     for x in lattice.linext:
@@ -145,7 +145,7 @@ def elimination(lattice, family, z, table=None):
     return cert
 
 
-def elimination_rc(lattice, family, z, table=None):
+def elimination_rc(lattice, family, z):
     """Relaxed certificate for RC lattices whose mu vanishes only at (0, e).
 
     For z below the top (or when mu(0, e) != 0) this is the plain
@@ -161,8 +161,7 @@ def elimination_rc(lattice, family, z, table=None):
         raise ForbiddenFamily("family must differ from L and L minus bottom")
     if shatters(lattice, fam, z):
         raise ElementIsShattered(f"family shatters {lattice.names[z]!r}")
-    if table is None:
-        table = mobius_table(lattice)
+    table = mobius_table(lattice)
     if z != lattice.top or table.mu(lattice.bottom, lattice.top) != 0:
         return elimination(lattice, fam, z, table=table)
 

@@ -71,9 +71,12 @@ def _rc_route(lattice):
     lattice is RC and satisfies the cover condition.
 
     The atomistic test runs first, then the cover condition, and the
-    interval scan only when one of them fails.  The cover route is sound:
-    an atomistic finite meet-semilattice with the cover condition is RC.
-    Suppose [x, y] = {x, z, y} is a 3-element interval.
+    interval scan only when one of them fails.  The cover route is sound
+    twice over: such a lattice is RC, and its Mobius function vanishes
+    nowhere.
+
+    First, an atomistic finite meet-semilattice with the cover condition is
+    RC.  Suppose [x, y] = {x, z, y} is a 3-element interval.
 
     1. [0, y] is a finite lattice: elements below y have y as an upper
        bound, so their join is the meet of their upper bounds.  It
@@ -86,9 +89,25 @@ def _rc_route(lattice):
        nor z, so a v x = y, and submodularity gives
        r(y) <= r(a) + r(x) - r(0) = r(x) + 1, against r(y) = r(x) + 2.
 
-    The converse, RC implies atomistic, is step 1 of
-    :func:`_rc_vanishing_pairs`, so a lattice that fails the atomistic
-    test always has a witness.
+    Second, an RC lattice with the cover condition has nonvanishing mu.
+
+    3. A finite RC lattice is atomistic.  Let s be the join of the atoms
+       below y, and suppose s < y.  A complement c of s in [0, y] is not 0
+       (else s = s v c = y), so some atom a <= c.  Then a <= y, so a <= s,
+       and a <= s ^ c = 0, which is impossible.
+    4. Every interval [x, y] of an RC lattice is RC, so it is atomistic by
+       3.  The cover condition holds in [x, y] too: if u, v in [x, y] are
+       distinct covers of w, their common upper cover c lies above
+       u v v > u, so c = u v v <= y.  The join u v v exists below y also
+       in a meet-semilattice with no top.  So every interval is a finite
+       atomistic lattice with the cover condition, which is upper
+       semimodular (Stanley, EC1, 3.3): it is geometric.
+    5. mu of a geometric lattice alternates strictly in sign (Rota, "On the
+       foundations of combinatorial theory I", 1964, 7).  mu(x, y) depends
+       on [x, y] alone, so it is not 0 for any x <= y.
+
+    By 3, a lattice that fails the atomistic test is not RC, so the
+    interval scan then always finds a witness.
     """
     if _atomistic(lattice) and _cover_condition(lattice):
         return None, True
@@ -155,34 +174,6 @@ def _cover_condition(lattice):
         if upper[z] & ~reach[a]:
             return False
     return True
-
-
-def _rc_vanishing_pairs(lattice, geometric):
-    """The pairs x <= y with mu(x, y) = 0 of an RC lattice, in index order.
-
-    Empty when ``geometric``, the flag of :func:`_rc_route`: the lattice
-    satisfies the cover condition (:func:`_cover_condition`).  Then no
-    Mobius table is built; else this is ``vanishing_pairs(lattice)``.  The
-    cover route is sound:
-
-    1. A finite RC lattice is atomistic.  Let s be the join of the atoms
-       below y, and suppose s < y.  A complement c of s in [0, y] is not 0
-       (else s = s v c = y), so some atom a <= c.  Then a <= y, so a <= s,
-       and a <= s ^ c = 0, which is impossible.
-    2. Every interval [x, y] of an RC lattice is RC, so it is atomistic by
-       1.  The cover condition holds in [x, y] too: if u, v in [x, y] are
-       distinct covers of w, their common upper cover c lies above
-       u v v > u, so c = u v v <= y.  The join u v v exists below y also
-       in a meet-semilattice with no top.  So every interval is a finite
-       atomistic lattice with the cover condition, which is upper
-       semimodular (Stanley, EC1, 3.3): it is geometric.
-    3. mu of a geometric lattice alternates strictly in sign (Rota, "On the
-       foundations of combinatorial theory I", 1964, 7).  mu(x, y) depends
-       on [x, y] alone, so it is not 0 for any x <= y.
-    """
-    if geometric:
-        return []
-    return vanishing_pairs(lattice)
 
 
 def non_rc_family(lattice, witness):
@@ -366,16 +357,16 @@ def is_ssp(lattice, strategy="auto", budget=DEFAULT_BUDGET):
     family search read each meet x ^ y from ``lattice.element`` as the
     element whose down-set is down[x] & down[y].  An atomistic lattice with
     Birkhoff's cover condition, a geometric one, is RC with nonvanishing
-    mu, so it is certified with no interval scan and no Mobius table (see
-    :func:`_rc_route` and :func:`_rc_vanishing_pairs`); the cover condition
-    is tested once, by :func:`_rc_route`.
+    mu, so it is certified with no interval scan and no Mobius table; the
+    cover condition is tested once, by :func:`_rc_route`, which also holds
+    the proof.
     """
     if strategy not in ("auto", "brute", "certificate"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy != "brute":
         witness, geometric = _rc_route(lattice)
         if witness is None:
-            vanishing = _rc_vanishing_pairs(lattice, geometric)
+            vanishing = [] if geometric else vanishing_pairs(lattice)
             if not vanishing:
                 return SspVerdict(CERTIFIED, CERT_NONVANISHING, None, 0)
             # distinct pairs in index order lie in {(bottom, top)} exactly
@@ -406,12 +397,14 @@ class AntichainReport:
 def antichain_check(lattice, antichain, family):
     """Bound |F| by the strict down-set of a maximal antichain A.
 
-    Requires a nonvanishing Mobius function and that F shatters no element
-    of A; then |F| <= |F_A| where F_A = {x : x < a for some a in A}, and
-    F_A itself shatters no element of A.  Both conclusions are recomputed
-    and a failure raises CheckFailed.  A non-RC lattice, where mu vanishes
-    on a 3-element interval, is refused before any Mobius table is built,
-    and a geometric one is accepted without one.
+    Requires a nonvanishing Mobius function, which is what
+    ``is_ssp(lattice, "certificate")`` certifies as ``CERT_NONVANISHING``,
+    and that F shatters no element of A; then |F| <= |F_A| where
+    F_A = {x : x < a for some a in A}, and F_A itself shatters no element
+    of A.  Both conclusions are recomputed and a failure raises
+    CheckFailed.  So a non-RC lattice, where mu vanishes on a 3-element
+    interval, is refused before any Mobius table is built, and a geometric
+    one is accepted without one.
     """
     aset = frozenset(antichain)
     if not aset:
@@ -427,8 +420,7 @@ def antichain_check(lattice, antichain, family):
         if not any(lattice.leq(z, a) or lattice.leq(a, z) for a in aset):
             raise NotMaximalAntichain(
                 f"{lattice.names[z]!r} is incomparable to the whole antichain")
-    witness, geometric = _rc_route(lattice)
-    if witness is not None or _rc_vanishing_pairs(lattice, geometric):
+    if is_ssp(lattice, "certificate").certificate_kind != CERT_NONVANISHING:
         raise PreconditionViolated("Mobius function vanishes on this lattice")
     fam = frozenset(family)
     for a in aset:
@@ -452,7 +444,7 @@ def antichain_check(lattice, antichain, family):
 # ---------------------------------------------------------------------------
 
 def product_ssp_witness(l_factor, k_factor, family, l_verdict=None,
-                        k_verdict=None, prod=None, budget=DEFAULT_BUDGET):
+                        k_verdict=None, prod=None):
     """Shattered set of size >= |F| for a family on the product K x L.
 
     ``family`` indexes ``product(k_factor, l_factor)``: pair (k, l) has
@@ -461,8 +453,9 @@ def product_ssp_witness(l_factor, k_factor, family, l_verdict=None,
     K; the disjoint union J of the results is returned after verifying that
     |J| >= |F| and that the family shatters every element of J.
 
-    Both factors must come with a CertifiedSSP verdict (computed here with
-    strategy "auto" when not supplied); otherwise FactorNotSSP is raised.
+    Both factors must come with a CertifiedSSP verdict (computed here by
+    ``is_ssp`` with its defaults when not supplied); otherwise FactorNotSSP
+    is raised.
     """
     nl = l_factor.n
     nk = k_factor.n
@@ -470,9 +463,9 @@ def product_ssp_witness(l_factor, k_factor, family, l_verdict=None,
     # the slices below filter by membership, which would drop a bad index
     _check_elements(nk * nl, fam, "product_ssp_witness")
     if l_verdict is None:
-        l_verdict = is_ssp(l_factor, "auto", budget)
+        l_verdict = is_ssp(l_factor)
     if k_verdict is None:
-        k_verdict = is_ssp(k_factor, "auto", budget)
+        k_verdict = is_ssp(k_factor)
     if l_verdict.outcome != CERTIFIED:
         raise FactorNotSSP("first factor is not verified SSP")
     if k_verdict.outcome != CERTIFIED:

@@ -254,6 +254,12 @@ def test_matroid_axioms_rejected():
             3, [(), (0,), (1,), (2,), (0, 1)]))
     with pytest.raises(NotAMatroid):
         lv.from_matroid(lv.MatroidSpec.make(1, [(), (4,)]))
+    # a negative ground size passes the power-set guard as 2 ** -1
+    negative = lv.MatroidSpec(-1, (frozenset(),))
+    with pytest.raises(NotAMatroid, match="^negative ground size -1$"):
+        negative.validate()
+    with pytest.raises(NotAMatroid, match="^negative ground size -1$"):
+        lv.from_matroid(negative)
     with pytest.raises(NotAMatroid, match="exchange fails"):
         # all subsets of {0,1,2}, plus {3}: no pair of {0,1,2} extends {3}
         lv.from_matroid(lv.MatroidSpec.make(

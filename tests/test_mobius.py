@@ -164,6 +164,20 @@ def test_inversion_detects_tampered_table():
         rows[x][y] = mu
 
 
+def test_foreign_table_refused():
+    # mu depends on the order alone: a table of another order is refused,
+    # not read at indices that mean other elements
+    b2 = lv.boolean(2)
+    c2_table = lv.mobius_table(lv.chain(2))
+    foreign = "^the Mobius table is of a lattice with another order$"
+    with pytest.raises(ValueError, match=foreign):
+        lv.vanishing_pairs(b2, c2_table)
+    with pytest.raises(ValueError, match=foreign):
+        lv.elimination(b2, [b2.bottom], b2.top, table=c2_table)
+    with pytest.raises(ValueError, match=foreign):
+        lv.check_inversion(b2, [1, 2, 3, 4], lv.mobius_table(lv.boolean(3)))
+
+
 def test_weisner_examples():
     assert lv.weisner_check(lv.boolean(4))
     assert lv.weisner_check(lv.subspace_lattice(2, 3))

@@ -359,10 +359,26 @@ def test_certificate_matches_definition(corpus):
         lattices += lv.enumerate_lattices(n)
     lattices += [_topless(lat) for lat in lattices if lat.n > 1]
     geometric = 0
+    accepted = 0
     for lat in lattices:
         text = lv.emit_lattice_text(lat)
-        assert lv.is_ssp(lat, "certificate") == _certificate_by_definition(
-            lat), text
+        expected = _certificate_by_definition(lat)
+        assert lv.is_ssp(lat, "certificate") == expected, text
+        if lat.n >= 2:
+            # the coatoms, or the maximal elements when there is no top, are
+            # a maximal antichain, and the empty family shatters none of them
+            if lat.top is None:
+                aset = frozenset(x for x in range(lat.n)
+                                 if lat.up[x] == 1 << x)
+            else:
+                aset = frozenset(_bits(lat.lower[lat.top]))
+            if expected.certificate_kind == ssp.CERT_NONVANISHING:
+                lv.antichain_check(lat, aset, frozenset())
+                accepted += 1
+            else:
+                with pytest.raises(PreconditionViolated,
+                                   match="^Mobius function vanishes"):
+                    lv.antichain_check(lat, aset, frozenset())
         cover = ssp._cover_condition(lat)
         assert cover == _oracle_cover_condition(lat), text
         if cover and oracle_is_rc(lat) is None:
@@ -377,6 +393,7 @@ def test_certificate_matches_definition(corpus):
     # fig1; 8 of the corpus; the 15 uniform matroids; Pi_4) and 15 topless
     # variants; the count would fall if the cover test stopped passing
     assert geometric == 48
+    assert accepted == 92
 
 
 def test_unknown_strategy_rejected():

@@ -33,11 +33,21 @@ from .errors import (
 from .shattering import vc_dim
 
 
-def _subset_name(mask, n):
-    if mask == 0:
-        return "0"
-    elems = [str(i + 1) for i in _bits(mask)]
-    return "".join(elems) if n <= 9 else ".".join(elems)
+def _subset_names(n):
+    """Labels of the 2^n subsets of {1..n}, indexed by mask: bit i of the
+    mask holds element i + 1.  The empty set is "0"; any other subset lists
+    its elements ascending, joined by nothing for n <= 9 and by "." for
+    n > 9.  They are built by the same doubling as :func:`boolean`'s masks:
+    the label of m + 2^i, for m < 2^i, is m's label followed by i + 1."""
+    sep = "" if n <= 9 else "."
+    names = [""]
+    for i in range(n):
+        piece = str(i + 1)
+        more = [nm + sep + piece for nm in names]
+        more[0] = piece
+        names += more
+    names[0] = "0"
+    return names
 
 
 def boolean(n):
@@ -51,8 +61,7 @@ def boolean(n):
     down = [1]
     for _ in range(n):
         down += [d | d << len(down) for d in down]
-    return _from_down_masks(tuple(_subset_name(m, n) for m in range(1 << n)),
-                            down)
+    return _from_down_masks(tuple(_subset_names(n)), down)
 
 
 def chain(k):
@@ -110,6 +119,23 @@ def _span(q, n, basis):
     return frozenset(vecs)
 
 
+def _subspace_labels(bases):
+    """Labels of echelon bases: "0" for the zero space, and otherwise the
+    rows, each written as its entries' digits, joined by dots.  Each
+    distinct row is written once."""
+    rows = {}
+    labels = []
+    for basis in bases:
+        if not basis:
+            labels.append("0")
+            continue
+        for row in basis:
+            if row not in rows:
+                rows[row] = "".join(map(str, row))
+        labels.append(".".join([rows[row] for row in basis]))
+    return labels
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of F_q^n held by its reduced row-echelon basis.
@@ -128,16 +154,19 @@ class Subspace:
         return len(self.basis)
 
     def name(self):
-        if not self.basis:
-            return "0"
-        return ".".join("".join(str(v) for v in row) for row in self.basis)
+        return _subspace_labels([self.basis])[0]
+
+
+def _ordered_bases(q, n):
+    """The echelon basis of every subspace of F_q^n, ordered by (dim,
+    basis): the element order of :func:`subspace_lattice`."""
+    return [basis for d in range(n + 1)
+            for basis in sorted(_echelon_bases(q, n, d))]
 
 
 def _subspaces(q, n):
     """Every subspace of F_q^n as a Subspace, ordered by (dim, basis)."""
-    return [Subspace(q, n, basis)
-            for d in range(n + 1)
-            for basis in sorted(_echelon_bases(q, n, d))]
+    return [Subspace(q, n, basis) for basis in _ordered_bases(q, n)]
 
 
 def subspace_lattice(q, n):
@@ -169,26 +198,27 @@ def subspace_lattice(q, n):
         raise ValueError("ambient dimension must be at least 1")
     _check_size(sum(qbinom(n, d, q) for d in range(n + 1)),
                 f"subspace_lattice({q}, {n})")
-    subs = _subspaces(q, n)
-    index = {s.basis: t for t, s in enumerate(subs)}
-    point = {s.basis[0]: t for t, s in enumerate(subs) if s.dim() == 1}
+    bases = _ordered_bases(q, n)
+    names = _subspace_labels(bases)
+    index = {basis: t for t, basis in enumerate(bases)}
+    point = {basis[0]: t for t, basis in enumerate(bases) if len(basis) == 1}
     scalars = range(1, q)
     pts = []
-    for s in subs:
-        if not s.basis:
+    for t, basis in enumerate(bases):
+        if not basis:
             pts.append(0)
             continue
-        r1 = s.basis[0]
-        mask = pts[index[s.basis[1:]]]
+        r1 = basis[0]
+        mask = pts[index[basis[1:]]]
         spanned = 1 << point[r1]
         for w in _bits(mask):
-            row = subs[w].basis[0]
+            row = bases[w][0]
             for a in scalars:
                 spanned |= 1 << point[tuple((x + a * y) % q
                                             for x, y in zip(r1, row))]
         mask |= spanned
-        if mask.bit_count() != (q ** s.dim() - 1) // (q - 1):
-            raise CheckFailed(f"subspace {s.name()} has "
+        if mask.bit_count() != (q ** len(basis) - 1) // (q - 1):
+            raise CheckFailed(f"subspace {names[t]} has "
                               f"{mask.bit_count()} points")
         pts.append(mask)
     # the subspaces come in ascending dimension, and T's down-set is T
@@ -196,14 +226,15 @@ def subspace_lattice(q, n):
     # by_dim[d + 1] lists the subspaces of dimension d
     by_dim = [[] for _ in range(n + 2)]
     down = []
-    for t, s in enumerate(subs):
+    for t, basis in enumerate(bases):
         mask = 1 << t
-        for u in by_dim[s.dim()]:
-            if pts[u] & ~pts[t] == 0:
+        off = ~pts[t]
+        for u in by_dim[len(basis)]:
+            if not pts[u] & off:
                 mask |= down[u]
-        by_dim[s.dim() + 1].append(t)
+        by_dim[len(basis) + 1].append(t)
         down.append(mask)
-    return _from_down_masks(tuple(s.name() for s in subs), down)
+    return _from_down_masks(tuple(names), down)
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +276,17 @@ class MatroidSpec:
                     raise NotAMatroid(
                         f"downward closure fails: {sorted(s - {x})} is missing")
         # with downward closure, every (|b|+1)-subset of a larger a is
-        # independent, so comparing sizes |b| + 1 and |b| suffices
-        for a in isets:
-            for b in isets:
-                if len(a) == len(b) + 1 and not any(b | {x} in isets
-                                                    for x in a - b):
-                    raise NotAMatroid(
-                        f"exchange fails for {sorted(a)} over {sorted(b)}")
+        # independent, so comparing sizes |b| + 1 and |b| suffices; the sets
+        # are grouped by size, as a spec made without make may be unsorted
+        by_size = {}
+        for s in isets:
+            by_size.setdefault(len(s), []).append(s)
+        for k, smaller in by_size.items():
+            for a in by_size.get(k + 1, ()):
+                for b in smaller:
+                    if not any(b | {x} in isets for x in a - b):
+                        raise NotAMatroid(
+                            f"exchange fails for {sorted(a)} over {sorted(b)}")
 
     def subset_rank(self, subset):
         return max((len(i) for i in self.independents if i <= subset), default=0)
@@ -273,8 +308,8 @@ def from_matroid(spec):
     flats = [s for s in subsets
              if all(rank_of[s | {x}] > rank_of[s] for x in ground - s)]
     flats.sort(key=lambda s: (len(s), sorted(s)))
-    names = tuple(_subset_name(sum(1 << x for x in s), spec.ground_size)
-                  for s in flats)
+    labels = _subset_names(spec.ground_size)
+    names = tuple(labels[sum(1 << x for x in s)] for s in flats)
     lattice = _from_down_masks(names, [
         sum(1 << i for i, s in enumerate(flats) if s <= t) for t in flats])
     if lattice.rank is None:
@@ -396,8 +431,8 @@ def critical_family(q, n):
         raise DimensionTooSmall("need ambient dimension at least 2")
     lattice = subspace_lattice(q, n)
     family = frozenset(
-        i for i, s in enumerate(_subspaces(q, n))
-        if s.dim() in (0, n) or (s.dim() == 1 and s.basis[0][-1] != 0))
+        i for i, basis in enumerate(_ordered_bases(q, n))
+        if len(basis) in (0, n) or (len(basis) == 1 and basis[0][-1] != 0))
     if len(family) != q ** (n - 1) + 2:
         raise CheckFailed("family size is not q^(n-1) + 2")
     if vc_dim(lattice, family) != 1:

@@ -210,10 +210,19 @@ def _from_down_masks(names, down):
     bottom, computes the covers (the transitive reduction) from the
     down-sets, both as the ``covers`` pairs and as the ``upper`` and
     ``lower`` masks, checks for meets on them (:func:`_check_meets`),
-    computes the linear extension (:func:`_linear_extension` of the covers)
-    and the rank in one loop over it, and the up-sets in one loop back.
-    The builders, :func:`interval`, :func:`product` and the enumerator call
-    it; outside input goes through :func:`from_covers`.
+    computes the rank in one loop along the linear extension, and the
+    up-sets in one loop back.  The builders, :func:`interval`,
+    :func:`product` and the enumerator call it; outside input goes through
+    :func:`from_covers`.
+
+    The linear extension is the smallest-index-first topological order, the
+    one :func:`_linear_extension` computes.  When every ``down[y] >> y == 1``,
+    so that index order extends the order, that order is ``range(n)``: by
+    induction on k, once 0..k-1 are emitted, every element of k's strict
+    down-set has a smaller index and so is emitted, so k is ready, and no
+    smaller index is left.  This holds for every builder and figure, for
+    :func:`product`, for :func:`interval` of such a structure and for the
+    enumerator; the heap runs only for outside input numbered otherwise.
     """
     n = len(names)
     minimals = [x for x in range(n) if down[x] == 1 << x]
@@ -224,54 +233,70 @@ def _from_down_masks(names, down):
 
     # transitive reduction: the lower covers of y are the elements of its
     # strict down-set below no other one.  Each step takes the highest
-    # index z left and drops down[z]; when index order extends the order,
-    # as it does for the builders and the enumerator, the steps take
-    # exactly the lower covers, and otherwise more steps give the same set
+    # index z left and drops down[z].  A lower cover is in no other
+    # element's down-set, so every one is taken; when index order extends
+    # the order the steps take exactly the lower covers, and otherwise the
+    # steps below another one are filtered out
     strict = [mask ^ (1 << y) for y, mask in enumerate(down)]
     upper = [0] * n
     lower = []
     parents = [[] for _ in range(n)]
+    children = []
     for y, rest in enumerate(strict):
         below = 0
+        kids = []
         while rest:
             z = rest.bit_length() - 1
+            kids.append(z)
             below |= strict[z]
             rest &= ~down[z]
         covered = strict[y] & ~below
+        if len(kids) != covered.bit_count():
+            kids = [x for x in kids if covered >> x & 1]
         lower.append(covered)
-        for x in _bits(covered):
+        children.append(kids)
+        bit = 1 << y
+        for x in kids:
             parents[x].append(y)
-            upper[x] |= 1 << y
+            upper[x] |= bit
 
     maximals = [x for x in range(n) if not upper[x]]
     element = dict(zip(down, range(n)))
-    _check_meets(names, down, element,
-                 lower + [sum(1 << x for x in maximals)])
+    _check_meets(names, down, element, children + [maximals])
+    # freed before the up-sets are built, which keeps the peak down
+    del strict, children
+
+    if all(mask >> y == 1 for y, mask in enumerate(down)):
+        order = range(n)
+    else:
+        order = _linear_extension(parents)
 
     # each cover (x, p) proposes rank(x) + 1 for p, and two different
     # proposals for the same p leave the structure unranked
-    order = _linear_extension(parents)
     rank = [None] * n
     rank[bottom] = 0
     ranked = True
     for x in order:
+        r = rank[x] + 1
         for p in parents[x]:
             if rank[p] is None:
-                rank[p] = rank[x] + 1
-            elif rank[p] != rank[x] + 1:
+                rank[p] = r
+            elif rank[p] != r:
                 ranked = False
 
     up = [1 << x for x in range(n)]
     for x in reversed(order):
+        mask = up[x]
         for p in parents[x]:
-            up[x] |= up[p]
+            mask |= up[p]
+        up[x] = mask
 
     return Lattice(
         n=n,
         names=names,
         up=tuple(up),
         down=tuple(down),
-        covers=tuple((x, p) for x in range(n) for p in parents[x]),
+        covers=tuple([(x, p) for x in range(n) for p in parents[x]]),
         upper=tuple(upper),
         lower=tuple(lower),
         element=element,
@@ -287,7 +312,7 @@ def _check_meets(names, down, element, groups):
 
     The meet of x and y exists exactly when down[x] & down[y] is the
     down-set of an element, a key of ``element``.  Only the pairs within
-    one of ``groups``, masks of elements, are tested: the lower covers of
+    one of ``groups``, lists of elements, are tested: the lower covers of
     each element, and the maximal elements (the lower covers of a virtual
     top).  That suffices.
     Were some pair without a meet, take z minimal among the common upper
@@ -299,11 +324,11 @@ def _check_meets(names, down, element, groups):
     Only when a tested pair fails are all pairs scanned, in index order, so
     the error names the first pair without a meet in that order.
     """
-    # a group of fewer than two elements holds no pair
-    for group in (list(_bits(g)) for g in groups if g & (g - 1)):
-        for i, a in enumerate(group):
-            for b in group[i + 1:]:
-                if down[a] & down[b] not in element:
+    for group in groups:
+        downs = [down[a] for a in group]
+        for i, da in enumerate(downs, 1):
+            for db in downs[i:]:
+                if da & db not in element:
                     x, y = next(
                         (x, y) for x in range(len(down))
                         for y in range(x + 1, len(down))

@@ -12,7 +12,7 @@ from itertools import combinations, product as iproduct
 import pytest
 
 import latticevc as lv
-from latticevc.builders import _is_prime, _subset_name, _subspaces, qbinom
+from latticevc.builders import _is_prime, _subset_names, _subspaces, qbinom
 from latticevc.core import MAX_ELEMENTS, _bits, _check_size
 from latticevc.errors import CheckFailed, NotMeetSemilattice, NotPrime
 from latticevc.search import canonical_key
@@ -362,7 +362,7 @@ def oracle_boolean(n):
         raise ValueError("boolean lattice dimension must be non-negative")
     _check_size(1 << min(n, MAX_ELEMENTS.bit_length()), f"boolean({n})")
     size = 1 << n
-    names = [_subset_name(m, n) for m in range(size)]
+    names = _subset_names(n)
     covers = [(m, m | (1 << i))
               for m in range(size) for i in range(n) if not (m >> i) & 1]
     return lv.from_covers(size, names, covers)
@@ -407,8 +407,8 @@ def oracle_from_matroid(spec):
     flats = [s for s in subsets
              if all(rank_of[s | {x}] > rank_of[s] for x in ground - s)]
     flats.sort(key=lambda s: (len(s), sorted(s)))
-    names = [_subset_name(sum(1 << x for x in s), spec.ground_size)
-             for s in flats]
+    labels = _subset_names(spec.ground_size)
+    names = [labels[sum(1 << x for x in s)] for s in flats]
     lattice = lv.from_covers(len(flats), names,
                              [(i, j) for i, s in enumerate(flats)
                               for j, t in enumerate(flats) if s < t])

@@ -260,11 +260,18 @@ def test_matroid_axioms_rejected():
         negative.validate()
     with pytest.raises(NotAMatroid, match="^negative ground size -1$"):
         lv.from_matroid(negative)
+    # all subsets of {0,1,2}, plus {3}: no pair of {0,1,2} extends {3}
+    spec = lv.MatroidSpec.make(
+        4, [s for d in range(4) for s in combinations(range(3), d)] + [(3,)])
     with pytest.raises(NotAMatroid, match="exchange fails"):
-        # all subsets of {0,1,2}, plus {3}: no pair of {0,1,2} extends {3}
-        lv.from_matroid(lv.MatroidSpec.make(
-            4, [s for d in range(4) for s in combinations(range(3), d)]
-            + [(3,)]))
+        lv.from_matroid(spec)
+    # the same sets largest first, given without make: the exchange check
+    # groups them by size itself
+    with pytest.raises(NotAMatroid, match="exchange fails"):
+        lv.MatroidSpec(4, spec.independents[::-1]).validate()
+    free = lv.MatroidSpec.make(
+        3, [s for d in range(4) for s in combinations(range(3), d)])
+    lv.MatroidSpec(3, free.independents[::-1]).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +363,7 @@ def test_subspace_point_mask_size_is_checked(monkeypatch):
     # leaves each 2-dimensional mask one point short: the count check
     # refuses it, also under python -O
     monkeypatch.setattr(builders, "_bits", lambda mask: iter(()))
-    with pytest.raises(CheckFailed, match="has 2 points"):
+    with pytest.raises(CheckFailed, match=r"^subspace 10\.01 has 2 points$"):
         lv.subspace_lattice(2, 2)
 
 

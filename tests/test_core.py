@@ -197,31 +197,63 @@ def test_meet_check_matches_oracle_random():
     assert min(outcomes) > 300
 
 
+def _oracle_linext(down):
+    """The smallest index whose strict down-set is already emitted, again
+    and again."""
+    order = []
+    emitted = 0
+    while len(order) < len(down):
+        x = min(x for x in range(len(down)) if not emitted >> x & 1
+                and down[x] & ~emitted == 1 << x)
+        order.append(x)
+        emitted |= 1 << x
+    return tuple(order)
+
+
+def _oracle_rank(down, covers, order):
+    """The length of every saturated chain from the bottom, or None unless
+    all those to each element have the same length."""
+    lengths = [set() for _ in down]
+    for y in order:
+        below = [x for x, p in covers if p == y]
+        lengths[y] = {r + 1 for x in below for r in lengths[x]} or {0}
+    if any(len(ls) > 1 for ls in lengths):
+        return None
+    return tuple(min(ls) for ls in lengths)
+
+
 def test_order_fields_match_definition():
-    # up-sets, covers, cover masks and linear extension of masks in any
-    # index order
+    # up-sets, covers, cover masks, linear extension and rank of masks in
+    # any index order, and again renumbered along the linear extension, so
+    # that index order extends the order
     checked = 0
-    for down in _random_posets(1000):
-        n = len(down)
-        try:
-            lat = core._from_down_masks(tuple(map(str, range(n))), down)
-        except NotMeetSemilattice:
-            continue
-        up = tuple(sum(1 << y for y in range(n) if down[y] >> x & 1)
-                   for x in range(n))
-        assert lat.up == up
-        assert lat.covers == tuple(
-            (x, y) for x in range(n) for y in range(n)
-            if x != y and up[x] & down[y] == 1 << x | 1 << y)
-        assert lat.upper == tuple(sum(1 << y for c, y in lat.covers if c == x)
-                                  for x in range(n))
-        assert lat.lower == tuple(sum(1 << x for x, p in lat.covers if p == y)
-                                  for y in range(n))
-        position = {x: i for i, x in enumerate(lat.linext)}
-        assert sorted(position) == list(range(n))
-        assert all(position[x] < position[y] for x, y in lat.covers)
-        checked += 1
-    assert checked > 500
+    for shuffled in _random_posets(1000):
+        n = len(shuffled)
+        order = _oracle_linext(shuffled)
+        position = {x: i for i, x in enumerate(order)}
+        renumbered = [sum(1 << position[z] for z in _bits(shuffled[x]))
+                      for x in order]
+        for down in (shuffled, renumbered):
+            try:
+                lat = core._from_down_masks(tuple(map(str, range(n))), down)
+            except NotMeetSemilattice:
+                break
+            up = tuple(sum(1 << y for y in range(n) if down[y] >> x & 1)
+                       for x in range(n))
+            assert lat.up == up
+            assert lat.covers == tuple(
+                (x, y) for x in range(n) for y in range(n)
+                if x != y and up[x] & down[y] == 1 << x | 1 << y)
+            assert lat.upper == tuple(
+                sum(1 << y for c, y in lat.covers if c == x) for x in range(n))
+            assert lat.lower == tuple(
+                sum(1 << x for x, p in lat.covers if p == y) for y in range(n))
+            assert lat.linext == _oracle_linext(down)
+            assert lat.rank == _oracle_rank(down, lat.covers, lat.linext)
+            checked += 1
+        else:
+            assert lat.linext == tuple(range(n))
+    assert checked > 1000
 
 
 def test_meets_equal_oracle_table():

@@ -265,28 +265,43 @@ class MatroidSpec:
         isets = set(self.independents)
         if not isets:
             raise NotAMatroid("no independent sets (must contain the empty set)")
+        elements = frozenset().union(*isets)
+        for x in elements:
+            # the checks below hold sets as masks of 1 << x
+            if not isinstance(x, int):
+                raise NotAMatroid(
+                    f"independent set undefined: {x!r} is not an integer")
         try:
-            _check_elements(self.ground_size, frozenset().union(*isets),
-                            "independent set")
+            _check_elements(self.ground_size, elements, "independent set")
         except ValueError as exc:
             raise NotAMatroid(str(exc)) from None
+        # each set as a ground mask; ext[b]: the x with b + x independent
+        mask = {s: sum(1 << x for x in s) for s in isets}
+        ext = dict.fromkeys(mask.values(), 0)
         for s in isets:
+            m = mask[s]
             for x in s:
-                if s - {x} not in isets:
+                b = m ^ (1 << x)
+                if b not in ext:
                     raise NotAMatroid(
                         f"downward closure fails: {sorted(s - {x})} is missing")
+                ext[b] |= 1 << x
         # with downward closure, every (|b|+1)-subset of a larger a is
         # independent, so comparing sizes |b| + 1 and |b| suffices; the sets
-        # are grouped by size, as a spec made without make may be unsorted
+        # are grouped by size, as a spec made without make may be unsorted.
+        # a exchanges over b when some x in a - b has b + x independent:
+        # ext[b] holds no element of b, so that is a & ext[b] != 0
         by_size = {}
         for s in isets:
             by_size.setdefault(len(s), []).append(s)
         for k, smaller in by_size.items():
+            exts = [ext[mask[b]] for b in smaller]
             for a in by_size.get(k + 1, ()):
-                for b in smaller:
-                    if not any(b | {x} in isets for x in a - b):
-                        raise NotAMatroid(
-                            f"exchange fails for {sorted(a)} over {sorted(b)}")
+                am = mask[a]
+                if not all(map(am.__and__, exts)):
+                    b = smaller[[am & e for e in exts].index(0)]
+                    raise NotAMatroid(
+                        f"exchange fails for {sorted(a)} over {sorted(b)}")
 
     def subset_rank(self, subset):
         return max((len(i) for i in self.independents if i <= subset), default=0)

@@ -159,8 +159,14 @@ def _lattice_masks(n_max):
     each existing down-set is one of the prefix's down-sets (the set
     ``principal``, built once per prefix).  That alone makes D down-closed:
     for d in D, D & down[d] holds d and equals some down[e] inside down[d],
-    so e = d and down[d] lies in D.  The up-masks that the key reads are
-    updated as elements are pushed and popped.
+    so e = d and down[d] lies in D.  So only the ideals of the prefix that
+    hold the bottom are tested, listed ascending: the bottom alone, then
+    for each later element x in index order, every listed ideal that holds
+    x's strict down-set with x added.  Index order extends the order, so x
+    is a maximal element of each ideal it completes, and each new mask
+    exceeds every earlier one.  A child's list is its parent's plus the
+    ideals that the new element completes.  The up-masks that the key
+    reads are updated as elements are pushed and popped.
     """
     if n_max < 1:
         return
@@ -169,32 +175,31 @@ def _lattice_masks(n_max):
     down = [1]  # down-set masks of the prefix; element 0 is the bottom
     up = [1]
 
-    def extend(i):
+    def extend(i, ideals):
         key = _order_key(up, down)
         if key in seen:
             return  # an isomorphic prefix was extended earlier
         seen.add(key)
         bit = 1 << i
-        full = bit - 1
-        yield down + [full | bit]
+        yield down + [(bit - 1) | bit]
         if i + 1 == n_max:
             return
         principal = set(down)
         up.append(bit)
-        # odd masks: a strict down-set always contains the bottom
-        for dmask in range(1, full + 1, 2):
+        for dmask in ideals:
             if all(dmask & dx in principal for dx in down):
                 down.append(dmask | bit)
                 for d in _bits(dmask):
                     up[d] |= bit
-                yield from extend(i + 1)
+                yield from extend(i + 1, ideals + [
+                    m | bit for m in ideals if m & dmask == dmask])
                 for d in _bits(dmask):
                     up[d] ^= bit
                 down.pop()
         up.pop()
 
     if n_max > 1:
-        yield from extend(1)
+        yield from extend(1, [1])
 
 
 def enumerate_lattices(n):

@@ -198,12 +198,16 @@ def non_rc_family(lattice, witness):
 # under a guard bit that stays clear.  Adding a member only clears bits, and
 # y is shattered exactly when its block is zero.  A subtree is skipped once
 # |Str(F)| >= |F| + remaining capacity, which certifies every superset in it.
-# The search stops at the first violating family.  One rule charges the
-# budget: each branch may visit the budget less the families covered so far
-# (see `_brute_force`).  The walk is iterative, with an explicit path of
-# members and their states, so a deep branch cannot overflow the stack, and
-# a lattice whose masks would take more than MAX_PACKED_BYTES is refused as
-# Inconclusive before any mask is built.
+# Since Str only grows along a path, a node F with m = |Str(F)| - |F| > 0
+# already certifies its last m children j' >= n - m: each has
+# |Str(F + j')| >= |Str(F)| >= |F| + 1 + (n - 1 - j').  This tail rule counts
+# them as m visits covering 2^m - 1 families without computing their states
+# (proof in `_brute_force`).  The search stops at the first violating
+# family.  One rule charges the budget: each branch may visit the budget
+# less the families covered so far (see `_brute_force`).  The walk is
+# iterative, with an explicit stack of frames, so a deep branch cannot
+# overflow the stack, and a lattice whose masks would take more than
+# MAX_PACKED_BYTES is refused as Inconclusive before any mask is built.
 # ---------------------------------------------------------------------------
 
 # the cap on the bytes of the n packed masks: it admits boolean:9 (8.2 MiB)
@@ -262,9 +266,23 @@ def _brute_force(lattice, budget):
     guard bits set in ``state + ones`` (counted by ``int.bit_count``, new
     in Python 3.10).
 
-    The walk keeps the path from the root as two stacks, the members of
-    the current family and the states of its proper prefixes, and moves to
-    the next family in DFS order in a loop rather than by recursion.
+    The tail rule.  Let F be a node the search expands, with k = |F|,
+    c = |Str(F)|, last member j and rem = n - 1 - j children, so that
+    k <= c < k + rem (F neither violates nor is pruned).  Adding a member
+    only clears bits, so Str(F + j') contains Str(F).  Each of the last
+    m = c - k children, j' >= n - m, then has
+    |Str(F + j')| >= c >= (k + 1) + (n - 1 - j'): it meets the prune test,
+    it cannot violate, and its whole subtree of 2^(n-1-j') families is
+    certified.  So those m children are m visits covering
+    2^(m-1) + ... + 2^0 = 2^m - 1 families, counted with no AND and no
+    popcount.  m < rem, so the first child is always computed.
+
+    The walk is iterative.  A frame is the node being expanded: (its
+    state, |F|, its next child, its tail start n - m).  An inner loop runs
+    over the siblings of one frame, descends by pushing the frame and
+    climbs by popping it; the members of F are the pushed frames' next
+    children less one.  The root level is one loop per branch (least
+    member), whose frame has that one child and no tail.
 
     The empty family is the first unit of the budget.  Each branch may
     visit the budget less the families covered (visited or certified by
@@ -273,52 +291,57 @@ def _brute_force(lattice, budget):
     branch gets what capping each branch at its subtree size in advance
     leaves over, and the family counts of partial runs stay as pinned.  A
     capped branch can still complete by pruning and cover more than the
-    budget; the next branch then starts below zero and stops at once.  The
-    first witness is re-verified.  A lattice whose masks would exceed
-    MAX_PACKED_BYTES is Inconclusive with no family examined.
+    budget; the next branch then starts below zero and stops at once.  A
+    budget that runs out in a tail after t < m of its children counts what
+    visiting them one by one would: their 2^(m-1) + ... + 2^(m-t) =
+    2^m - 2^(m-t) families.  The first witness is re-verified.  A lattice
+    whose masks would exceed MAX_PACKED_BYTES is Inconclusive with no
+    family examined.
     """
     n = lattice.n
     if budget < 1 or _packed_bytes(lattice) > MAX_PACKED_BYTES:
         return SspVerdict(INCONCLUSIVE, None, None, 0)
     start, ones, guards, keep = _packed_masks(lattice)
-    members = []        # the current family, ascending
-    states = [start]    # states[i]: the state of members[:i]
     covered = 1
-    j = 0               # the member to add next
-    while True:
-        if not members:
-            # a new branch, of least member j
-            if j == n:
-                break
-            left = budget - covered
-        if left <= 0:
-            return SspVerdict(INCONCLUSIVE, None, None, covered)
-        left -= 1
-        covered += 1
-        state = states[-1] & keep[j]
-        str_cnt = n - ((state + ones) & guards).bit_count()
-        members.append(j)
-        size = len(members)
-        if str_cnt < size:
-            witness = frozenset(members)
-            _verify_witness(lattice, witness)
-            return SspVerdict(VIOLATED, None, witness, covered)
-        rem = n - 1 - j
-        if str_cnt >= size + rem:
-            # every superset G in this subtree has |G| <= size + rem
-            # <= |Str(F)| <= |Str(G)|, so nothing below can violate
-            covered += (1 << rem) - 1
-        else:
-            # rem >= 1 here, since str_cnt >= size: descend to member j + 1
-            states.append(state)
-            j += 1
-            continue
-        # this family's subtree is done: go to its next sibling, climbing
-        # past every level whose last child it was
-        j = members.pop() + 1
-        while j == n and members:
-            j = members.pop() + 1
-            states.pop()
+    for first in range(n):
+        left = budget - covered
+        frames = []     # the ancestors of the node being expanded
+        parent, size, j, tail = start, 0, first, first + 1
+        while True:
+            while j < tail:
+                if left <= 0:
+                    return SspVerdict(INCONCLUSIVE, None, None, covered)
+                left -= 1
+                covered += 1
+                state = parent & keep[j]
+                str_cnt = n - ((state + ones) & guards).bit_count()
+                if str_cnt <= size:
+                    witness = frozenset([f[2] - 1 for f in frames] + [j])
+                    _verify_witness(lattice, witness)
+                    return SspVerdict(VIOLATED, None, witness, covered)
+                rem = n - 1 - j
+                j += 1
+                if str_cnt > size + rem:
+                    # every G in the child's subtree has
+                    # |G| <= (size + 1) + rem <= str_cnt <= |Str(G)|, so
+                    # nothing below can violate
+                    covered += (1 << rem) - 1
+                else:
+                    frames.append((parent, size, j, tail))
+                    parent = state
+                    size += 1
+                    tail = n + size - str_cnt
+            if not frames:
+                break   # the branch is done; the root has no tail
+            m = n - tail
+            if left < m:
+                # the budget (left >= 0 inside a branch) runs out after
+                # the first `left` tail children
+                return SspVerdict(INCONCLUSIVE, None, None,
+                                  covered + (1 << m) - (1 << (m - left)))
+            left -= m
+            covered += (1 << m) - 1
+            parent, size, j, tail = frames.pop()
     if covered != 1 << n:
         raise CheckFailed(f"search covered {covered} of 2^{n} families")
     return SspVerdict(CERTIFIED, CERT_BRUTE, None, covered)

@@ -12,6 +12,7 @@ from itertools import combinations, product as iproduct
 import pytest
 
 import latticevc as lv
+from latticevc import ssp
 from latticevc.builders import _is_prime, _subset_names, _subspaces, qbinom
 from latticevc.core import MAX_ELEMENTS, _bits, _check_size
 from latticevc.errors import CheckFailed, NotMeetSemilattice, NotPrime
@@ -124,6 +125,57 @@ def naive_violating_families(lattice):
         if len(naive_shattered_set(lattice, fam)) < len(fam):
             out.append(fam)
     return sorted(out, key=lambda f: (len(f), sum(1 << i for i in f)))
+
+
+def oracle_family_search(lattice, budget):
+    """The family search visiting every child it does not prune.
+
+    The same subset tree, packed state, pruning and budget rule as
+    ``ssp._brute_force``, without its tail rule: each of a node's last
+    |Str(F)| - |F| children is visited, ANDed and counted one by one.
+    ``ssp._brute_force`` must return the same verdict.
+    """
+    n = lattice.n
+    if budget < 1 or ssp._packed_bytes(lattice) > ssp.MAX_PACKED_BYTES:
+        return ssp.SspVerdict(ssp.INCONCLUSIVE, None, None, 0)
+    start, ones, guards, keep = ssp._packed_masks(lattice)
+    members = []        # the current family, ascending
+    states = [start]    # states[i]: the state of members[:i]
+    covered = 1
+    j = 0               # the member to add next
+    while True:
+        if not members:
+            # a new branch, of least member j
+            if j == n:
+                break
+            left = budget - covered
+        if left <= 0:
+            return ssp.SspVerdict(ssp.INCONCLUSIVE, None, None, covered)
+        left -= 1
+        covered += 1
+        state = states[-1] & keep[j]
+        str_cnt = n - ((state + ones) & guards).bit_count()
+        members.append(j)
+        size = len(members)
+        if str_cnt < size:
+            witness = frozenset(members)
+            if len(naive_shattered_set(lattice, witness)) >= size:
+                raise CheckFailed("claimed witness shatters at least |F|")
+            return ssp.SspVerdict(ssp.VIOLATED, None, witness, covered)
+        rem = n - 1 - j
+        if str_cnt >= size + rem:
+            covered += (1 << rem) - 1
+        else:
+            states.append(state)
+            j += 1
+            continue
+        j = members.pop() + 1
+        while j == n and members:
+            j = members.pop() + 1
+            states.pop()
+    if covered != 1 << n:
+        raise CheckFailed(f"search covered {covered} of 2^{n} families")
+    return ssp.SspVerdict(ssp.CERTIFIED, ssp.CERT_BRUTE, None, covered)
 
 
 def oracle_mobius_rows(lattice):

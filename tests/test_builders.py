@@ -254,6 +254,11 @@ def test_matroid_axioms_rejected():
             3, [(), (0,), (1,), (2,), (0, 1)]))
     with pytest.raises(NotAMatroid):
         lv.from_matroid(lv.MatroidSpec.make(1, [(), (4,)]))
+    # the axioms are checked on ground masks, which need integer elements
+    for bad in (1.0, "1"):
+        with pytest.raises(NotAMatroid, match=f"^independent set undefined: "
+                                              f"{bad!r} is not an integer$"):
+            lv.MatroidSpec(2, (frozenset(), frozenset({bad}))).validate()
     # a negative ground size passes the power-set guard as 2 ** -1
     negative = lv.MatroidSpec(-1, (frozenset(),))
     with pytest.raises(NotAMatroid, match="^negative ground size -1$"):

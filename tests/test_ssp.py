@@ -25,6 +25,7 @@ from conftest import (
     graphic_matroid,
     naive_shattered_set,
     naive_violating_families,
+    oracle_family_search,
     oracle_is_rc,
     oracle_meets,
     oracle_mobius_rows,
@@ -484,6 +485,40 @@ def test_family_search_pinned_above_n8(spec, budget, expected):
     # machine word, and the family counts pin the tree it visits
     verdict = lv.is_ssp(load_source(spec), "brute", budget=budget)
     assert (verdict.outcome, verdict.families_examined) == expected
+
+
+# the ssp-brute benchmark's pools (b) and (c), searched at its budget, and a
+# lattice whose first branch holds a witness
+ORACLE_SEARCH_SOURCES = (
+    "boolean:4", "subspace:2:3", "product(chain:1,boolean:3)",
+    "product(chain:1,fig1)", "product(fig1,chain:1)",
+    "fig2", "boolean:5", "subspace:3:3", "product(chain:1,fig3b)",
+)
+
+
+def _search_key(verdict):
+    witness = None if verdict.witness is None else sorted(verdict.witness)
+    return (verdict.outcome, verdict.certificate_kind, witness,
+            verdict.families_examined)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SEARCH_SOURCES)
+def test_family_search_matches_oracle(spec, monkeypatch):
+    # the tail rule counts a node's last |Str(F)| - |F| children without
+    # computing their states; it must count, stop and answer exactly as a
+    # search that visits each of them does
+    lat = load_source(spec)
+    # both searches read the same masks: build them once, not per budget
+    masks = ssp._packed_masks(lat)
+    monkeypatch.setattr(ssp, "_packed_masks", lambda lattice: masks)
+    budgets = [262143, 262144, 262145]
+    if spec in ("fig2", "boolean:5"):
+        # small budgets: on boolean:5, 191 of them run out partway
+        # through a tail, and 931 more just before one
+        budgets += range(1, 5001)
+    for b in budgets:
+        assert (_search_key(ssp._brute_force(lat, b))
+                == _search_key(oracle_family_search(lat, b))), (spec, b)
 
 
 def test_verdict_witness_sound(corpus):

@@ -164,11 +164,6 @@ def _ordered_bases(q, n):
             for basis in sorted(_echelon_bases(q, n, d))]
 
 
-def _subspaces(q, n):
-    """Every subspace of F_q^n as a Subspace, ordered by (dim, basis)."""
-    return [Subspace(q, n, basis) for basis in _ordered_bases(q, n)]
-
-
 def subspace_lattice(q, n):
     """All subspaces of F_q^n under inclusion; rank = dimension.
 
@@ -241,6 +236,17 @@ def subspace_lattice(q, n):
 # matroids and their geometric lattices
 # ---------------------------------------------------------------------------
 
+def _integer_elements(sets):
+    """The union of ``sets``, or NotAMatroid naming a member that is not an
+    integer."""
+    elements = frozenset().union(*sets)
+    for x in elements:
+        if not isinstance(x, int):
+            raise NotAMatroid(
+                f"independent set undefined: {x!r} is not an integer")
+    return elements
+
+
 @dataclass(frozen=True)
 class MatroidSpec:
     """A matroid given by its full list of independent sets.
@@ -254,9 +260,14 @@ class MatroidSpec:
 
     @classmethod
     def make(cls, ground_size, independents):
-        sets = tuple(sorted({frozenset(s) for s in independents},
-                            key=lambda s: (len(s), sorted(s))))
-        return cls(ground_size, sets)
+        """The spec of ``independents`` as frozensets, deduplicated and
+        sorted by (size, members); a member that is not an integer raises
+        NotAMatroid, as :meth:`validate` would, before the sort compares
+        it."""
+        sets = {frozenset(s) for s in independents}
+        _integer_elements(sets)
+        return cls(ground_size, tuple(sorted(
+            sets, key=lambda s: (len(s), sorted(s)))))
 
     def validate(self):
         """Raise NotAMatroid naming the violated axiom."""
@@ -265,12 +276,8 @@ class MatroidSpec:
         isets = set(self.independents)
         if not isets:
             raise NotAMatroid("no independent sets (must contain the empty set)")
-        elements = frozenset().union(*isets)
-        for x in elements:
-            # the checks below hold sets as masks of 1 << x
-            if not isinstance(x, int):
-                raise NotAMatroid(
-                    f"independent set undefined: {x!r} is not an integer")
+        # the checks below hold sets as masks of 1 << x
+        elements = _integer_elements(isets)
         try:
             _check_elements(self.ground_size, elements, "independent set")
         except ValueError as exc:

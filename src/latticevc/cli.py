@@ -374,3 +374,7 @@ def run(argv, out=None):
 
 def main():
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

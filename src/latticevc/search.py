@@ -14,6 +14,14 @@ isomorphism-invariant, so the pruned subtree only holds relabelings of
 leaves already emitted from the earlier prefix, which the depth-first order
 has finished.  One :class:`Lattice` is built and validated per isomorphism
 class.
+
+Most duplicate children are dropped before they are keyed, by two
+isomorphism-invariant tests in the spirit of canonical augmentation
+(McKay 1998): a child is kept only when its twin-class intersections are
+the least in their orbit (a), and only when its new element has a largest
+down-set among the child's maximal elements (b).  Every class still has a
+child that passes both, and the keys stay the final arbiter; see
+:func:`_lattice_masks`.
 """
 
 from dataclasses import dataclass
@@ -167,6 +175,28 @@ def _lattice_masks(n_max):
     exceeds every earlier one.  A child's list is its parent's plus the
     ideals that the new element completes.  The up-masks that the key
     reads are updated as elements are pushed and popped.
+
+    Two tests drop a candidate D of prefix P before the meet test, before
+    its child's list is built and before the child is keyed:
+
+    (a) Twins, elements of P with the same strict down-set and strict
+        up-set, can be permuted among themselves by an automorphism of P.
+        D is kept only when it meets each twin class in an initial
+        segment of the class in index order, the least choice in its
+        orbit under those automorphisms.
+    (b) Call m maximal in P when nothing lies above it.  D is dropped when
+        some maximal m outside D has a larger down-set than the new
+        element's, |down[m]| > |D| + 1: the new element must have a
+        largest down-set among the child's maximal elements.
+
+    Each class is still keyed, by induction on the prefix size.  Take a
+    prefix class Q and a maximal m of Q with a largest down-set.  Q - m
+    keeps every meet, so it is a prefix, its class is keyed and its first
+    representative P0 is extended.  An isomorphism Q - m -> P0 maps down(m) - m to a
+    candidate of P0 that passes (b) and whose child is isomorphic to Q.
+    The least member of its twin orbit passes (a), and (b) too, as (b) is
+    invariant under automorphisms of P0; its child is isomorphic to Q as
+    well.  Duplicates that both tests pass are still caught by the keys.
     """
     if n_max < 1:
         return
@@ -184,9 +214,29 @@ def _lattice_masks(n_max):
         yield down + [(bit - 1) | bit]
         if i + 1 == n_max:
             return
+        # (b): larger[s] holds the maximal elements whose down-set has
+        # more than s members, which a child of down-set size s must cover
+        larger = [0] * (i + 2)
+        # (a): (first, second) bits of index-consecutive twins
+        twins = []
+        last = {}
+        for x in range(i):
+            dx, ux = down[x], up[x]
+            xbit = 1 << x
+            if ux == xbit:
+                for s in range(dx.bit_count()):
+                    larger[s] |= xbit
+            strict = (dx ^ xbit, ux ^ xbit)
+            if strict in last:
+                twins.append((last[strict], xbit))
+            last[strict] = xbit
         principal = set(down)
         up.append(bit)
         for dmask in ideals:
+            if larger[dmask.bit_count() + 1] & ~dmask:
+                continue
+            if any(dmask & b and not dmask & a for a, b in twins):
+                continue
             if all(dmask & dx in principal for dx in down):
                 down.append(dmask | bit)
                 for d in _bits(dmask):

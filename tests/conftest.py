@@ -12,8 +12,13 @@ from itertools import combinations, product as iproduct
 import pytest
 
 import latticevc as lv
-from latticevc import ssp
-from latticevc.builders import _is_prime, _subset_names, _subspaces, qbinom
+from latticevc import search, ssp
+from latticevc.builders import (
+    _is_prime,
+    _ordered_bases,
+    _subset_names,
+    qbinom,
+)
 from latticevc.core import MAX_ELEMENTS, _bits, _check_size
 from latticevc.errors import CheckFailed, NotMeetSemilattice, NotPrime
 from latticevc.search import canonical_key
@@ -127,17 +132,29 @@ def naive_violating_families(lattice):
     return sorted(out, key=lambda f: (len(f), sum(1 << i for i in f)))
 
 
-def oracle_family_search(lattice, budget):
-    """The family search visiting every child it does not prune.
+def oracle_family_search(lattice, budgets):
+    """The family search visiting every child it does not prune, as a
+    ``{budget: verdict}`` dict over ``budgets``.
 
     The same subset tree, packed state, pruning and budget rule as
     ``ssp._brute_force``, without its tail rule: each of a node's last
     |Str(F)| - |F| children is visited, ANDed and counted one by one.
-    ``ssp._brute_force`` must return the same verdict.
+    ``ssp._brute_force`` must return the same verdict at each budget.
+
+    One walk answers every budget.  A search with budget b starts each
+    branch with b less the families covered so far and spends one unit per
+    visit, so it stops at the first visit where ``used``, the families
+    covered at the branch's start plus the visits made in it, reaches b.
+    ``used`` grows by one per visit and never falls between branches, so
+    the walk answers the budgets in ascending order, and stops once every
+    budget is answered.  A budget the walk outlasts gets its verdict.
     """
     n = lattice.n
-    if budget < 1 or ssp._packed_bytes(lattice) > ssp.MAX_PACKED_BYTES:
-        return ssp.SspVerdict(ssp.INCONCLUSIVE, None, None, 0)
+    nothing = ssp.SspVerdict(ssp.INCONCLUSIVE, None, None, 0)
+    if ssp._packed_bytes(lattice) > ssp.MAX_PACKED_BYTES:
+        return dict.fromkeys(budgets, nothing)
+    answers = {b: nothing for b in budgets if b < 1}
+    pending = sorted({b for b in budgets if b >= 1}, reverse=True)
     start, ones, guards, keep = ssp._packed_masks(lattice)
     members = []        # the current family, ascending
     states = [start]    # states[i]: the state of members[:i]
@@ -148,10 +165,13 @@ def oracle_family_search(lattice, budget):
             # a new branch, of least member j
             if j == n:
                 break
-            left = budget - covered
-        if left <= 0:
-            return ssp.SspVerdict(ssp.INCONCLUSIVE, None, None, covered)
-        left -= 1
+            used = covered
+        while pending and pending[-1] <= used:
+            answers[pending.pop()] = ssp.SspVerdict(
+                ssp.INCONCLUSIVE, None, None, covered)
+        if not pending:
+            return answers
+        used += 1
         covered += 1
         state = states[-1] & keep[j]
         str_cnt = n - ((state + ones) & guards).bit_count()
@@ -161,7 +181,9 @@ def oracle_family_search(lattice, budget):
             witness = frozenset(members)
             if len(naive_shattered_set(lattice, witness)) >= size:
                 raise CheckFailed("claimed witness shatters at least |F|")
-            return ssp.SspVerdict(ssp.VIOLATED, None, witness, covered)
+            answers.update(dict.fromkeys(pending, ssp.SspVerdict(
+                ssp.VIOLATED, None, witness, covered)))
+            return answers
         rem = n - 1 - j
         if str_cnt >= size + rem:
             covered += (1 << rem) - 1
@@ -175,7 +197,9 @@ def oracle_family_search(lattice, budget):
             states.pop()
     if covered != 1 << n:
         raise CheckFailed(f"search covered {covered} of 2^{n} families")
-    return ssp.SspVerdict(ssp.CERTIFIED, ssp.CERT_BRUTE, None, covered)
+    answers.update(dict.fromkeys(pending, ssp.SspVerdict(
+        ssp.CERTIFIED, ssp.CERT_BRUTE, None, covered)))
+    return answers
 
 
 def oracle_mobius_rows(lattice):
@@ -210,6 +234,12 @@ def oracle_is_rc(lattice):
             if between and between & (between - 1) == 0:
                 return lv.RcWitness(x, between.bit_length() - 1, y)
     return None
+
+
+def all_subspaces(q, n):
+    """Every subspace of F_q^n as a Subspace, ordered by (dim, basis): the
+    element order of ``subspace_lattice``."""
+    return [lv.Subspace(q, n, basis) for basis in _ordered_bases(q, n)]
 
 
 def relabel(lattice, perm):
@@ -378,6 +408,51 @@ def oracle_order_key(up, down):
     return (n, best[0])
 
 
+def oracle_lattice_masks(n_max):
+    """Down-masks of every lattice on 1..n_max elements, once per class,
+    by orderly generation alone.
+
+    The walk that ``search._lattice_masks`` refines: every prefix is keyed
+    (by ``search._order_key``, looked up on each call) and extended when
+    its key is new, and every ideal of the prefix that holds the bottom and
+    keeps meets unique is tried as a child, with no filter by twins or by
+    canonical deletion.  ``search._lattice_masks`` must emit the same
+    isomorphism classes.
+    """
+    if n_max < 1:
+        return
+    yield [1]
+    seen = set()
+    down = [1]
+    up = [1]
+
+    def extend(i, ideals):
+        key = search._order_key(up, down)
+        if key in seen:
+            return
+        seen.add(key)
+        bit = 1 << i
+        yield down + [(bit - 1) | bit]
+        if i + 1 == n_max:
+            return
+        principal = set(down)
+        up.append(bit)
+        for dmask in ideals:
+            if all(dmask & dx in principal for dx in down):
+                down.append(dmask | bit)
+                for d in _bits(dmask):
+                    up[d] |= bit
+                yield from extend(i + 1, ideals + [
+                    m | bit for m in ideals if m & dmask == dmask])
+                for d in _bits(dmask):
+                    up[d] ^= bit
+                down.pop()
+        up.pop()
+
+    if n_max > 1:
+        yield from extend(1, [1])
+
+
 def random_family(lattice, rng):
     members = [i for i in range(lattice.n) if rng.random() < 0.5]
     return frozenset(members)
@@ -438,7 +513,7 @@ def oracle_subspace_lattice(q, n):
         raise ValueError("ambient dimension must be at least 1")
     _check_size(sum(qbinom(n, d, q) for d in range(n + 1)),
                 f"subspace_lattice({q}, {n})")
-    subs = _subspaces(q, n)
+    subs = all_subspaces(q, n)
     vecsets = [s.vectors() for s in subs]
     by_dim = [[] for _ in range(n + 2)]
     for i, s in enumerate(subs):

@@ -4,7 +4,6 @@ import pytest
 
 import latticevc as lv
 from latticevc import builders
-from latticevc.builders import _subspaces
 from latticevc.errors import (
     CheckFailed,
     DimensionTooSmall,
@@ -16,6 +15,7 @@ from latticevc.errors import (
 from latticevc.search import canonical_key
 
 from conftest import (
+    all_subspaces,
     graphic_matroid,
     oracle_boolean,
     oracle_chain,
@@ -76,7 +76,7 @@ def test_chain_guard_before_building(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def vector_sets(q, n):
-    return [s.vectors() for s in _subspaces(q, n)]
+    return [s.vectors() for s in all_subspaces(q, n)]
 
 
 def brute_subspaces(q, n):
@@ -132,7 +132,7 @@ def test_subspace_type_canonical():
     zero = lv.Subspace(2, 2, ())
     assert zero.vectors() == frozenset({(0, 0)}) and zero.name() == "0"
     # echelon bases are canonical: distinct subspaces, distinct labels
-    names = [s.name() for s in _subspaces(2, 3)]
+    names = [s.name() for s in all_subspaces(2, 3)]
     assert len(set(names)) == len(names) == len(set(vector_sets(2, 3)))
 
 
@@ -259,6 +259,11 @@ def test_matroid_axioms_rejected():
         with pytest.raises(NotAMatroid, match=f"^independent set undefined: "
                                               f"{bad!r} is not an integer$"):
             lv.MatroidSpec(2, (frozenset(), frozenset({bad}))).validate()
+        # make refuses them too, before its sort compares them: "1" next
+        # to the 0 of another set would raise a bare TypeError there
+        with pytest.raises(NotAMatroid, match=f"^independent set undefined: "
+                                              f"{bad!r} is not an integer$"):
+            lv.MatroidSpec.make(2, [(), (0,), (bad,)])
     # a negative ground size passes the power-set guard as 2 ** -1
     negative = lv.MatroidSpec(-1, (frozenset(),))
     with pytest.raises(NotAMatroid, match="^negative ground size -1$"):

@@ -252,6 +252,18 @@ def test_cli_import_is_light():
     assert result.stdout == "[]\n1 []\n"
 
 
+@pytest.mark.parametrize("module", ["latticevc", "latticevc.cli"])
+def test_python_dash_m(module):
+    # both module entry points run the console script's main: its output
+    # on stdout, nothing on stderr, and its exit status
+    src = Path(lv.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-m", module, "ssp", "chain:2"],
+                            env=env, capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        1, "Violated, witness {1,2}, |F|=2, |Str|=1\n", "")
+
+
 def _nested_products(operators):
     spec = "chain:0"
     for _ in range(operators):

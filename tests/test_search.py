@@ -6,9 +6,15 @@ import pytest
 
 import latticevc as lv
 from latticevc import cli, search, ssp
+from latticevc.core import _from_down_masks
 from latticevc.errors import TooLarge
 
-from conftest import oracle_lattice_count, oracle_order_key, relabel
+from conftest import (
+    oracle_lattice_count,
+    oracle_lattice_masks,
+    oracle_order_key,
+    relabel,
+)
 
 
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222}
@@ -106,6 +112,43 @@ def test_one_key_per_prefix(monkeypatch):
     assert len(calls) == PREFIX_KEYS[8] == 695
 
 
+def _keys_by_size(walk):
+    names = {}
+    keys = {}
+    for down in walk:
+        n = len(down)
+        names.setdefault(n, tuple(map(str, range(n))))
+        lattice = _from_down_masks(names[n], down)
+        keys.setdefault(n, []).append(search.canonical_key(lattice))
+    return keys
+
+
+def test_walk_matches_oracle_walk():
+    # the twin and canonical-deletion filters drop only children whose
+    # class another child reaches: every size up to 9 has the oracle's
+    # classes, and up to 7 the oracle's very sequence
+    keys = _keys_by_size(search._lattice_masks(9))
+    expect = _keys_by_size(oracle_lattice_masks(9))
+    assert sorted(keys) == list(range(1, 10))
+    for n in range(1, 10):
+        assert sorted(keys[n]) == sorted(expect[n]), n
+    assert list(search._lattice_masks(7)) == list(oracle_lattice_masks(7))
+
+
+# sha256 of the sorted canonical keys of each size n = 1..9 in turn: the
+# classes emitted, whatever labeling the walk picks for them
+CANONICAL_KEYS_SHA256_N9 = (
+    "5e33808ff973f7eb597dffeacd9443f5150dac8d9e50463e023c6e58f9131f73")
+
+
+def test_enumerated_classes_pinned():
+    digest = hashlib.sha256()
+    for n in range(1, 10):
+        keys = sorted(map(search.canonical_key, lv.enumerate_lattices(n)))
+        digest.update(repr(keys).encode())
+    assert digest.hexdigest() == CANONICAL_KEYS_SHA256_N9
+
+
 # sha256 of every emitted lattice text for n = 1..7 and n = 1..8, in
 # enumeration order
 ENUMERATION_SHA256_N7 = (
@@ -164,8 +207,8 @@ def _relabel_masks(masks, perm):
 
 
 def test_order_key_values_match_oracle(monkeypatch):
-    # every prefix that the walk to 9 elements keys (each enumeration to
-    # n <= 9 keys a subset of them), as met and under a seeded relabeling:
+    # every prefix that the unfiltered oracle walk to 9 elements keys (the
+    # walk keys a subset of them), as met and under a seeded relabeling:
     # twin pruning and the search-free path keep the key values themselves
     met = []
     key = search._order_key
@@ -175,7 +218,7 @@ def test_order_key_values_match_oracle(monkeypatch):
         return key(up, down)
 
     monkeypatch.setattr(search, "_order_key", recording)
-    assert len(list(lv.enumerate_lattices(9))) == 1078
+    assert sum(len(down) == 9 for down in oracle_lattice_masks(9)) == 1078
     assert len(met) == 3556
     rng = random.Random(9)
     for up, down in met:

@@ -192,8 +192,9 @@ def _lattice_masks(n_max):
     Each class is still keyed, by induction on the prefix size.  Take a
     prefix class Q and a maximal m of Q with a largest down-set.  Q - m
     keeps every meet, so it is a prefix, its class is keyed and its first
-    representative P0 is extended.  An isomorphism Q - m -> P0 maps down(m) - m to a
-    candidate of P0 that passes (b) and whose child is isomorphic to Q.
+    representative P0 is extended.  An isomorphism Q - m -> P0 maps
+    down(m) - m to a candidate of P0 that passes (b) and whose child is
+    isomorphic to Q.
     The least member of its twin orbit passes (a), and (b) too, as (b) is
     invariant under automorphisms of P0; its child is isomorphic to Q as
     well.  Duplicates that both tests pass are still caught by the keys.
@@ -215,7 +216,8 @@ def _lattice_masks(n_max):
         if i + 1 == n_max:
             return
         # (b): larger[s] holds the maximal elements whose down-set has
-        # more than s members, which a child of down-set size s must cover
+        # more than s members, which a candidate D with |D| + 1 = s must
+        # hold
         larger = [0] * (i + 2)
         # (a): (first, second) bits of index-consecutive twins
         twins = []

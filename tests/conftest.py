@@ -147,7 +147,7 @@ def oracle_family_search(lattice, budgets):
     covered at the branch's start plus the visits made in it, reaches b.
     ``used`` grows by one per visit and never falls between branches, so
     the walk answers the budgets in ascending order, and stops once every
-    budget is answered.  A budget the walk outlasts gets its verdict.
+    budget is answered.  A budget the walk outlasts gets its final verdict.
     """
     n = lattice.n
     nothing = ssp.SspVerdict(ssp.INCONCLUSIVE, None, None, 0)

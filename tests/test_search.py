@@ -114,13 +114,10 @@ def test_one_key_per_prefix(monkeypatch):
 
 
 def _keys_by_size(walk):
-    names = {}
     keys = {}
     for down in walk:
-        n = len(down)
-        names.setdefault(n, tuple(map(str, range(n))))
-        lattice = _from_down_masks(names[n], down)
-        keys.setdefault(n, []).append(search.canonical_key(lattice))
+        lattice = _from_down_masks(tuple(map(str, range(len(down)))), down)
+        keys.setdefault(len(down), []).append(search.canonical_key(lattice))
     return keys
 
 

@@ -193,78 +193,90 @@ def non_rc_family(lattice, witness):
 # strictly larger element index, so every nonempty family lies in the branch
 # of its least member (n branches).  The empty family never violates
 # (|Str(F)| = 0 = |F|) and is counted without a branch.  A node carries its
-# shattering state as one integer, packed from one block per element y:
-# down[y] & ~realized_meets(F, y), the x <= y that no member meets y at,
-# under a guard bit that stays clear.  Adding a member only clears bits, and
-# y is shattered exactly when its block is zero.  A subtree is skipped once
-# |Str(F)| >= |F| + remaining capacity, which certifies every superset in it.
-# Since Str only grows along a path, a node F with m = |Str(F)| - |F| > 0
-# already certifies its last m children j' >= n - m: each has
-# |Str(F + j')| >= |Str(F)| >= |F| + 1 + (n - 1 - j').  This tail rule counts
-# them as m visits covering 2^m - 1 families without computing their states
-# (proof in `_brute_force`).  The search stops at the first violating
-# family.  One rule charges the budget: each branch may visit the budget
-# less the families covered so far (see `_brute_force`).  The walk is
-# iterative, with an explicit stack of frames, so a deep branch cannot
+# shattering state as one integer, packed from one block per element y: one
+# bit per x <= y, at x's rank within down[y], set while no member meets y at
+# x, under a guard bit that stays clear.  So the state has one bit per
+# comparable pair and one per element.  Adding a member only clears bits,
+# and y is shattered exactly when its block is zero.  A subtree is skipped
+# once |Str(F)| >= |F| + remaining capacity, which certifies every superset
+# in it.  Since Str only grows along a path, a node F with
+# m = |Str(F)| - |F| > 0 already certifies its last m children j' >= n - m:
+# each has |Str(F + j')| >= |Str(F)| >= |F| + 1 + (n - 1 - j').  This tail
+# rule counts them as m visits covering 2^m - 1 families without computing
+# their states (proof in `_brute_force`).  The search stops at the first
+# violating family.  One rule charges the budget: each branch may visit the
+# budget less the families covered so far (see `_brute_force`).  The walk is
+# iterative, with its frames in depth-indexed lists, so a deep branch cannot
 # overflow the stack, and a lattice whose masks would take more than
 # MAX_PACKED_BYTES is refused as Inconclusive before any mask is built.
 # ---------------------------------------------------------------------------
 
-# the cap on the bytes of the n packed masks: it admits boolean:9 (8.2 MiB)
-# and chain:700 (20.8 MiB), and refuses boolean:10 (64.6 MiB)
+# the cap on the bytes of the n keep masks, n * ceil((|<=| + n) / 8) for
+# |<=| comparable pairs x <= y: it admits boolean:9 (1.2 MiB), boolean:10
+# (7.3 MiB) and chain:700 (20.6 MiB), and refuses boolean:11 (43.8 MiB)
 MAX_PACKED_BYTES = 32 << 20
 
 
 def _packed_bytes(lattice):
-    """The bytes the n masks of `_packed_masks` would take, computed from
-    the block widths alone."""
-    return lattice.n * sum(d.bit_length() // 8 + 1 for d in lattice.down)
+    """The bytes of the n keep masks of `_packed_masks`, computed from the
+    bit counts of the down-sets alone, before anything is built: each mask
+    has one bit per comparable pair and one guard bit per element, in whole
+    bytes."""
+    bits = sum(d.bit_count() for d in lattice.down) + lattice.n
+    return lattice.n * ((bits + 7) // 8)
 
 
 def _packed_masks(lattice):
-    """The masks of the packed state, as (start, ones, guards, keep).
+    """The masks of the packed state, as (ones, guards, keep).
 
-    Block y is laid out like down[y], bit x for element x, in the fewest
-    whole bytes whose top bit lies above all of down[y]; that top bit is
-    the guard.  A mask is its blocks' bytes joined, built in one pass
-    rather than one shift per block.  ``start`` is the empty family's state
-    (each block its down-set), ``ones`` sets every bit below each guard,
-    ``guards`` every guard, and ``keep[j]`` every bit but bit j ^ y of each
-    block y.
+    Blocks are laid out in element order, with no padding between them.
+    Block y holds |down[y]| bits, the bit of rank r for the r-th element of
+    down[y] in index order, and the guard bit above them.  ``ones`` sets
+    every bit below each guard: it is also the empty family's state, which
+    meets y at no x.  ``guards`` sets every guard, and ``keep[j]`` every bit
+    but the rank bit of j ^ y in each block y.  Each mask is set bit by bit
+    in a bytearray and converted once, with no big-int shift per bit.
     """
     down = lattice.down
-    element = lattice.element
-    onehots = {}    # onehots[w][x]: w bytes with only bit x set
-    blocks = []     # blocks[y]: the one-bit blocks of block y's width
+    # place[y]: the position of each x <= y in the state, keyed by down[x],
+    # so that down[j] & down[y] finds the bit of the meet j ^ y
+    place = []
+    lows = []       # lows[y]: the position of block y's lowest bit
+    tops = []       # tops[y]: the position of block y's guard
+    pos = 0
     for d in down:
-        width = d.bit_length() // 8 + 1
-        if width not in onehots:
-            onehots[width] = [(1 << x).to_bytes(width, "little")
-                              for x in range(8 * width)]
-        blocks.append(onehots[width])
+        lows.append(pos)
+        place.append({down[x]: pos + r for r, x in enumerate(_bits(d))})
+        pos += d.bit_count()
+        tops.append(pos)
+        pos += 1
+    width = (pos + 7) // 8
 
-    def packed(parts):
-        return int.from_bytes(b"".join(parts), "little")
+    def packed(positions):
+        mask = bytearray(width)
+        for p in positions:
+            mask[p >> 3] |= 1 << (p & 7)
+        return int.from_bytes(mask, "little")
 
-    start = packed([d.to_bytes(len(b[0]), "little")
-                    for d, b in zip(down, blocks)])
-    guards = packed([b[-1] for b in blocks])
-    ones = guards - packed([b[0] for b in blocks])
-    keep = [~packed(map(list.__getitem__, blocks,
-                        map(element.__getitem__, map(d.__and__, down))))
-            for d in down]
-    return start, ones, guards, keep
+    guards = packed(tops)
+    keep = [~packed(map(dict.__getitem__, place, map(dj.__and__, down)))
+            for dj in down]
+    return guards - packed(lows), guards, keep
 
 
 def _brute_force(lattice, budget):
     """The family search as a verdict, within ``budget`` visited families.
 
     Adding member j ANDs the packed state with ``keep[j]``, which clears
-    bit j ^ y of every block y.  Adding all-ones (every bit below the
-    guard) to a block carries into its guard exactly when the block is
-    nonzero, and the guard stops the carry there, so |Str(F)| is n less the
-    guard bits set in ``state + ones`` (counted by ``int.bit_count``, new
-    in Python 3.10).
+    the rank bit of j ^ y in every block y.  Adding all-ones (every bit
+    below the guard) to a block carries into its guard exactly when the
+    block is nonzero, and the guard stops the carry there, so the guard
+    bits set in ``state + ones`` (counted by ``int.bit_count``, new in
+    Python 3.10) are the h elements not shattered, and |Str(F)| = n - h.
+    The tests read h + |F| for the parent's F and child F + j: the child
+    violates when n - h <= |F|, that is h + |F| >= n, and is pruned when
+    n - h >= |F + j| + (n - 1 - j), the largest family in its subtree,
+    that is h + |F| < j + 1.
 
     The tail rule.  Let F be a node the search expands, with k = |F|,
     c = |Str(F)|, last member j and rem = n - 1 - j children, so that
@@ -277,12 +289,13 @@ def _brute_force(lattice, budget):
     2^(m-1) + ... + 2^0 = 2^m - 1 families, counted with no AND and no
     popcount.  m < rem, so the first child is always computed.
 
-    The walk is iterative.  A frame is the node being expanded: (its
-    state, |F|, its next child, its tail start n - m).  An inner loop runs
-    over the siblings of one frame, descends by pushing the frame and
-    climbs by popping it; the members of F are the pushed frames' next
-    children less one.  The root level is one loop per branch (least
-    member), whose frame has that one child and no tail.
+    The walk is iterative.  A frame is the node being expanded: its state,
+    |F|, its next child and its tail start n - m, which for a child is
+    h + |F| + 1.  An inner loop runs over the siblings of one frame; it
+    descends by storing the frame at depth |F| of three lists, and climbs
+    by reading it back.  The members of F are the stored next children
+    less one.  The root level is one loop per branch (least member), whose
+    frame has that one child and no tail.
 
     The empty family is the first unit of the budget.  Each branch may
     visit the budget less the families covered (visited or certified by
@@ -294,54 +307,71 @@ def _brute_force(lattice, budget):
     budget; the next branch then starts below zero and stops at once.  A
     budget that runs out in a tail after t < m of its children counts what
     visiting them one by one would: their 2^(m-1) + ... + 2^(m-t) =
-    2^m - 2^(m-t) families.  The first witness is re-verified.  A lattice
-    whose masks would exceed MAX_PACKED_BYTES is Inconclusive with no
-    family examined.
+    2^m - 2^(m-t) families.  A branch counts its visits once, in ``left``,
+    and the families its prunes and tails cover beyond their visits in
+    ``extra``, so the search has covered budget - left + extra.  The first
+    witness is re-verified.  A lattice whose masks would exceed
+    MAX_PACKED_BYTES is Inconclusive with no family examined.
     """
     n = lattice.n
     if budget < 1 or _packed_bytes(lattice) > MAX_PACKED_BYTES:
         return SspVerdict(INCONCLUSIVE, None, None, 0)
-    start, ones, guards, keep = _packed_masks(lattice)
+    ones, guards, keep = _packed_masks(lattice)
+    # the frame of the ancestor with d members: states[d], nexts[d], tails[d]
+    states = [0] * n
+    nexts = [0] * n
+    tails = [0] * n
+    # below[j]: the families under a child whose last member is j - 1, less
+    # the child itself
+    below = [(1 << (n - j)) - 1 for j in range(n + 1)]
     covered = 1
     for first in range(n):
         left = budget - covered
-        frames = []     # the ancestors of the node being expanded
-        parent, size, j, tail = start, 0, first, first + 1
+        extra = 0       # the search has covered budget - left + extra
+        parent, size, j, tail = ones, 0, first, first + 1
         while True:
             while j < tail:
                 if left <= 0:
-                    return SspVerdict(INCONCLUSIVE, None, None, covered)
+                    return SspVerdict(INCONCLUSIVE, None, None,
+                                      budget - left + extra)
                 left -= 1
-                covered += 1
                 state = parent & keep[j]
-                str_cnt = n - ((state + ones) & guards).bit_count()
-                if str_cnt <= size:
-                    witness = frozenset([f[2] - 1 for f in frames] + [j])
+                # h + |F| for the h blocks that F + j leaves nonzero
+                hf = ((state + ones) & guards).bit_count() + size
+                if hf >= n:
+                    witness = frozenset([x - 1 for x in nexts[:size]] + [j])
                     _verify_witness(lattice, witness)
-                    return SspVerdict(VIOLATED, None, witness, covered)
-                rem = n - 1 - j
+                    return SspVerdict(VIOLATED, None, witness,
+                                      budget - left + extra)
                 j += 1
-                if str_cnt > size + rem:
-                    # every G in the child's subtree has
-                    # |G| <= (size + 1) + rem <= str_cnt <= |Str(G)|, so
-                    # nothing below can violate
-                    covered += (1 << rem) - 1
+                if hf < j:
+                    # the child F + (j - 1) shatters n - h >= |F| + 1 +
+                    # (n - j) elements, as many as the largest family in
+                    # its subtree, so nothing below can violate
+                    extra += below[j]
                 else:
-                    frames.append((parent, size, j, tail))
+                    states[size] = parent
+                    nexts[size] = j
+                    tails[size] = tail
                     parent = state
                     size += 1
-                    tail = n + size - str_cnt
-            if not frames:
+                    tail = hf + 1
+            if not size:
                 break   # the branch is done; the root has no tail
             m = n - tail
             if left < m:
                 # the budget (left >= 0 inside a branch) runs out after
                 # the first `left` tail children
                 return SspVerdict(INCONCLUSIVE, None, None,
-                                  covered + (1 << m) - (1 << (m - left)))
+                                  budget - left + extra
+                                  + (1 << m) - (1 << (m - left)))
             left -= m
-            covered += (1 << m) - 1
-            parent, size, j, tail = frames.pop()
+            extra += below[tail] - m
+            size -= 1
+            parent = states[size]
+            j = nexts[size]
+            tail = tails[size]
+        covered = budget - left + extra
     if covered != 1 << n:
         raise CheckFailed(f"search covered {covered} of 2^{n} families")
     return SspVerdict(CERTIFIED, CERT_BRUTE, None, covered)

@@ -155,9 +155,9 @@ def oracle_family_search(lattice, budgets):
         return dict.fromkeys(budgets, nothing)
     answers = {b: nothing for b in budgets if b < 1}
     pending = sorted({b for b in budgets if b >= 1}, reverse=True)
-    start, ones, guards, keep = ssp._packed_masks(lattice)
+    ones, guards, keep = ssp._packed_masks(lattice)
     members = []        # the current family, ascending
-    states = [start]    # states[i]: the state of members[:i]
+    states = [ones]     # states[i]: the state of members[:i]
     covered = 1
     j = 0               # the member to add next
     while True:

@@ -1,5 +1,6 @@
 import io
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 import latticevc as lv
 from latticevc import cli, core
+from latticevc.errors import LatticeError
 
 
 def run_cli(*argv):
@@ -314,3 +316,75 @@ def test_negative_budget_rejected_at_parse_time(capsys):
         assert run_cli(*argv) == (2, "")
         assert message in capsys.readouterr().err
     assert run_cli("ssp", "chain:2", "--budget", "0")[0] == 1
+
+
+# characters a mutation inserts: the format's own, separators the line
+# split knows (form feed, U+2028), a NUL, and non-ASCII letters and spaces
+_FUZZ_CHARS = "elmcovr 01234abxyz#,()-\t\n\r\x0c\x00 　é"
+
+# sources that are odd, malformed, or refused by a guard before anything is
+# built; none builds more than a few dozen elements
+_ODD_SOURCES = (
+    "subspace:4:2", "chain:99999999999999999999", "product(chain:1,)",
+    "", " ", "chain:", "chain:-0", "chain:+2", "chain:٣", "chain:1e3",
+    "chain:0x10", "boolean:-1", "boolean:12", "boolean: 3", "subspace:2",
+    "subspace:1:2", "subspace:2:1", "subspace:99999999999:2",
+    "subspace:2:99999999999", "product(", "product()", "product(,)",
+    "product(chain:1,chain:1", "product(chain:1,chain:1))",
+    "product(product(chain:1,chain:1),)", "product(boolean:6,boolean:6)",
+    "product(fig3b,chain:2)", "fig4", " fig1 ", "FIG1", "<empty file>",
+)
+
+
+def _mutate(text, rng):
+    """One to three seeded edits of characters or whole lines."""
+    for _ in range(rng.randint(1, 3)):
+        lines = text.split("\n")
+        op = rng.randrange(6)
+        i = rng.randrange(len(text) + 1)
+        if op == 0:
+            text = text[:i] + text[i + rng.randint(1, 3):]
+        elif op == 1:
+            text = text[:i] + rng.choice(_FUZZ_CHARS) + text[i:]
+        elif op == 2:
+            text = text[:i] + rng.choice(_FUZZ_CHARS) + text[i + 1:]
+        elif op == 3:
+            k = rng.randrange(len(lines))
+            lines.insert(rng.randrange(len(lines) + 1), lines[k])
+            text = "\n".join(lines)
+        elif op == 4:
+            del lines[rng.randrange(len(lines))]
+            text = "\n".join(lines)
+        else:
+            a, b = rng.randrange(len(lines)), rng.randrange(len(lines))
+            lines[a], lines[b] = lines[b], lines[a]
+            text = "\n".join(lines)
+    return text
+
+
+def test_seeded_fuzz_raises_only_typed_errors(tmp_path, capsys):
+    # mutated lattice text is parsed or refused with a LatticeError, never
+    # another exception; odd sources give an exit status of 0, 1 or 2 from
+    # every verb, never an exception
+    rng = random.Random(27)
+    texts = [core.emit_lattice_text(cli.load_source(spec))
+             for spec in ("fig1", "fig3b", "boolean:3", "chain:2",
+                          "subspace:2:2", "product(chain:1,chain:2)")]
+    parsed = 0
+    for _ in range(2000):
+        text = _mutate(rng.choice(texts), rng)
+        try:
+            core.parse_lattice_text(text)
+        except LatticeError:
+            continue
+        parsed += 1
+    # the edits both keep and break the format
+    assert 100 < parsed < 1900
+    empty = tmp_path / "empty.lat"
+    empty.write_text("")
+    for source in _ODD_SOURCES:
+        source = {"<empty file>": str(empty)}.get(source, source)
+        for verb in ("build", "rc", "ssp"):
+            code, _ = run_cli(verb, source)
+            assert code in (0, 1, 2), (verb, source)
+    assert "Traceback" not in capsys.readouterr().err

@@ -474,6 +474,72 @@ def test_oversized_masks_refused_before_allocation(monkeypatch):
     assert verdict == ssp.SspVerdict(ssp.INCONCLUSIVE, None, None, 0)
 
 
+def _blocks(lattice):
+    """(offset, width) of each element's block, from the down-sets alone:
+    one bit per x <= y, then a guard bit."""
+    out = []
+    offset = 0
+    for d in lattice.down:
+        width = bin(d).count("1")
+        out.append((offset, width))
+        offset += width + 1
+    return out
+
+
+def _check_packed_state(lattice, families):
+    ones, guards, keep = ssp._packed_masks(lattice)
+    blocks = _blocks(lattice)
+    meet = oracle_meets(lattice)
+    below = [[x for x in range(lattice.n) if lattice.leq(x, y)]
+             for y in range(lattice.n)]
+    for fam in families:
+        state = ones
+        for j in fam:
+            state &= keep[j]
+        shattered = naive_shattered_set(lattice, fam)
+        for y, (offset, width) in enumerate(blocks):
+            block = (state >> offset) & ((1 << (width + 1)) - 1)
+            # bit r: the r-th x <= y in index order is no member's meet with y
+            realized = {meet[z][y] for z in fam}
+            expect = sum(1 << r for r, x in enumerate(below[y])
+                         if x not in realized)
+            assert block == expect, (sorted(fam), y)
+            assert (block == 0) == (y in shattered), (sorted(fam), y)
+        assert state >> sum(w + 1 for _, w in blocks) == 0
+
+
+def test_packed_state_matches_definition():
+    # the search reads a block as zero exactly when its element is
+    # shattered; decode each block by offset and width and check it bit by
+    # bit against the meets, for every family of every lattice with n <= 6
+    for n in range(1, 7):
+        for lat in lv.enumerate_lattices(n):
+            _check_packed_state(lat, all_families(lat))
+    rng = random.Random(27)
+    for spec in ("fig2", "boolean:5", "subspace:3:3",
+                 "product(fig2,chain:1)"):
+        lat = load_source(spec)
+        _check_packed_state(lat, [random_family(lat, rng)
+                                  for _ in range(200)])
+
+
+@pytest.mark.parametrize("spec", [
+    "chain:0", "boolean:3", "fig2", "boolean:5", "subspace:3:3",
+    "product(fig2,chain:1)", "boolean:9",
+])
+def test_packed_bytes_match_masks(spec):
+    # the cap is checked on bytes computed before any mask is built: they
+    # are the bytes of the n keep masks as built, one bit per pair x <= y
+    # and one guard per element
+    lat = load_source(spec)
+    ones, guards, keep = ssp._packed_masks(lat)
+    offset, width = _blocks(lat)[-1]
+    assert guards.bit_length() == offset + width + 1
+    assert all((~k).bit_length() <= guards.bit_length() for k in keep)
+    assert len(keep) == lat.n
+    assert ssp._packed_bytes(lat) == lat.n * ((guards.bit_length() + 7) // 8)
+
+
 @pytest.mark.parametrize("spec, budget, expected", [
     ("fig2", 1 << 16, (ssp.INCONCLUSIVE, 81913)),
     ("boolean:5", 1 << 16, (ssp.INCONCLUSIVE, 126918)),

@@ -170,6 +170,23 @@ def test_enumeration_deterministic():
     assert digest.hexdigest() == ENUMERATION_SHA256_N8
 
 
+# sha256 of repr(down) for every down-mask list that _lattice_masks(10)
+# yields, in order (7,372 lattices, OEIS A006966 summed to n = 10): which
+# prefixes the walk accepts and rejects, and the labeling of each class
+WALK_SHA256_N10 = (
+    "aba2711b2fa5ae05371c0ba9b1d4c5546d06276cd7d1ce14d3f01d897c55c07f")
+
+
+def test_walk_sequence_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for down in search._lattice_masks(10):
+        digest.update(repr(down).encode())
+        count += 1
+    assert count == 7372
+    assert digest.hexdigest() == WALK_SHA256_N10
+
+
 # ---------------------------------------------------------------------------
 # canonical form
 # ---------------------------------------------------------------------------

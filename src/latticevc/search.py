@@ -7,20 +7,28 @@ finite meet-semilattice with a top is a lattice, so no separate join check
 is needed.
 
 Isomorphs are rejected inside the search tree, in the sense of orderly
-generation (McKay 1998; Heitzig & Reinhold 2002): every partial structure
-(prefix) is keyed by the canonical form of its raw down-masks, and a prefix
-isomorphic to one met earlier is not extended.  The extension rule is
-isomorphism-invariant, so the pruned subtree only holds relabelings of
+generation (McKay 1998; Heitzig & Reinhold 2002): a partial structure
+(prefix) isomorphic to one met earlier is not extended.  The extension rule
+is isomorphism-invariant, so the pruned subtree only holds relabelings of
 leaves already emitted from the earlier prefix, which the depth-first order
 has finished.  One :class:`Lattice` is built and validated per isomorphism
 class.
 
-Most duplicate children are dropped before they are keyed, by two
+A canonical form of the raw down-masks tells isomorphic prefixes apart, and
+it is computed only when needed: first each prefix gets a cheap invariant,
+the sorted multiset of (down-set size, up-set size) over its elements.
+Isomorphic prefixes have equal invariants, so a prefix whose invariant no
+earlier prefix has is new and is not keyed; only prefixes that share an
+invariant are keyed, each at most once (McKay & Piperno 2014 filter by
+invariants before canonical labelling the same way).
+
+Most duplicate children are dropped before they are tested, by two
 isomorphism-invariant tests in the spirit of canonical augmentation
 (McKay 1998): a child is kept only when its twin-class intersections are
 the least in their orbit (a), and only when its new element has a largest
 down-set among the child's maximal elements (b).  Every class still has a
-child that passes both, and the keys stay the final arbiter; see
+child that passes both, and the invariants and keys stay the final
+arbiter; see
 :func:`_lattice_masks`.
 """
 
@@ -135,8 +143,8 @@ def canonical_key(lattice):
 
     Isomorphism is a property of the order relation alone, so the key reads
     only the up- and down-set masks (:func:`_order_key`); the enumerator
-    keys its raw down-masks the same way and rejects duplicates before
-    building a :class:`Lattice`.
+    keys its raw down-masks the same way, when their invariants collide,
+    and rejects duplicates before building a :class:`Lattice`.
     """
     return _order_key(lattice.up, lattice.down)
 
@@ -153,7 +161,7 @@ def _lattice_masks(n_max):
     """Down-masks of every lattice on 1..n_max elements, once per class.
 
     The one-element lattice comes first.  Then the walk grows prefixes of
-    1 <= i < n_max elements depth first and keys each once, on entry; a
+    1 <= i < n_max elements depth first and tests each once, on entry; a
     prefix isomorphic to an earlier one is not extended.  A unique
     i-element prefix plus the forced top is the (i+1)-element lattice,
     yielded on entry before the prefix is extended, so each size comes out
@@ -162,6 +170,20 @@ def _lattice_masks(n_max):
     the bottom and keep meets unique, and depth-first order finishes the
     earlier prefix first.  The forced top does not change the isomorphism
     class, so distinct prefixes give distinct lattices.
+
+    The test on entry is lazy.  ``seen`` maps the invariant of a prefix,
+    the sorted multiset of (|down[x]|, |up[x]|) over its elements, to a
+    bucket.  An isomorphism maps each element to one with as many elements
+    below and above it, so isomorphic prefixes have equal invariants.  A
+    prefix alone in its bucket is therefore new: the bucket stores copies
+    of its masks (the walk edits ``down`` and ``up`` in place), and no key
+    is computed.  When a later prefix lands in the bucket, the stored masks
+    are keyed once and replaced by the set of keys; the prefix is keyed,
+    rejected on an equal key and added otherwise.  So every accept and
+    reject is the one that keying every prefix gives, and the walk yields
+    the same sequence and labelings; only the number of keys falls (none
+    below n = 7).  An invariant has one entry per element, so one dict
+    serves every level.
 
     A candidate down-set D keeps meets unique when its intersection with
     each existing down-set is one of the prefix's down-sets (the set
@@ -173,11 +195,12 @@ def _lattice_masks(n_max):
     x's strict down-set with x added.  Index order extends the order, so x
     is a maximal element of each ideal it completes, and each new mask
     exceeds every earlier one.  A child's list is its parent's plus the
-    ideals that the new element completes.  The up-masks that the key
-    reads are updated as elements are pushed and popped.
+    ideals that the new element completes.  The up-masks that the
+    invariant and the key read are updated as elements are pushed and
+    popped.
 
     Two tests drop a candidate D of prefix P before the meet test, before
-    its child's list is built and before the child is keyed:
+    its child's list is built and before the child is tested:
 
     (a) Twins, elements of P with the same strict down-set and strict
         up-set, can be permuted among themselves by an automorphism of P.
@@ -189,28 +212,39 @@ def _lattice_masks(n_max):
         element's, |down[m]| > |D| + 1: the new element must have a
         largest down-set among the child's maximal elements.
 
-    Each class is still keyed, by induction on the prefix size.  Take a
+    Each class is still reached, by induction on the prefix size.  Take a
     prefix class Q and a maximal m of Q with a largest down-set.  Q - m
-    keeps every meet, so it is a prefix, its class is keyed and its first
+    keeps every meet, so it is a prefix, its class is met and its first
     representative P0 is extended.  An isomorphism Q - m -> P0 maps
     down(m) - m to a candidate of P0 that passes (b) and whose child is
     isomorphic to Q.
     The least member of its twin orbit passes (a), and (b) too, as (b) is
     invariant under automorphisms of P0; its child is isomorphic to Q as
-    well.  Duplicates that both tests pass are still caught by the keys.
+    well.  Duplicates that both tests pass are still caught by ``seen``.
     """
     if n_max < 1:
         return
     yield [1]
-    seen = set()  # keys are (size, encoding), so one set serves every level
+    # invariant -> the masks of the one prefix met with it, or the set of
+    # keys of the prefixes met with it once there are two or more;
+    # invariants have the prefix's length, so one dict serves every level
+    seen = {}
     down = [1]  # down-set masks of the prefix; element 0 is the bottom
     up = [1]
 
     def extend(i, ideals):
-        key = _order_key(up, down)
-        if key in seen:
-            return  # an isomorphic prefix was extended earlier
-        seen.add(key)
+        inv = tuple(sorted(zip(map(int.bit_count, down),
+                               map(int.bit_count, up))))
+        bucket = seen.get(inv)
+        if bucket is None:
+            seen[inv] = (up[:], down[:])  # copies: the walk edits both
+        else:
+            if type(bucket) is tuple:
+                bucket = seen[inv] = {_order_key(*bucket)}
+            key = _order_key(up, down)
+            if key in bucket:
+                return  # an isomorphic prefix was extended earlier
+            bucket.add(key)
         bit = 1 << i
         yield down + [(bit - 1) | bit]
         if i + 1 == n_max:
@@ -258,7 +292,7 @@ def enumerate_lattices(n):
     """Every lattice on n elements, exactly once up to isomorphism.
 
     The walk of :func:`_lattice_masks` up to size n, keeping size n: it
-    keys the same prefixes as a scan to n and builds only the lattices it
+    tests and keys the same prefixes as a scan to n and builds only the lattices it
     returns.  Deterministic order; every emitted structure has passed full
     construction validation and has a top, so it is a lattice.
     """
@@ -297,7 +331,7 @@ def conjecture_scan(n_max):
     """One ScanReport per size 1..n_max.
 
     One walk of :func:`_lattice_masks` yields every size, so each prefix
-    is keyed once for the whole scan, and each size is tallied as its
+    is tested once for the whole scan, and each size is tallied as its
     lattices appear, in :func:`enumerate_lattices` order.  Each lattice
     gets one ``is_ssp(..., "auto")`` verdict in this process.  That verdict
     tests RC first and labels a non-RC counterexample ``CERT_NON_RC``, so

@@ -86,13 +86,16 @@ def test_one_construction_per_emitted_lattice(monkeypatch):
     assert len(calls) == sum(KNOWN_COUNTS.values()) == 300
 
 
-# _order_key calls per n: one per prefix that passes the twin and
-# canonical-deletion tests, and none for the emitted lattices themselves
-# (the unfiltered oracle walk keys 695 prefixes to reach n = 8)
-PREFIX_KEYS = {1: 0, 2: 1, 3: 2, 4: 4, 5: 9, 6: 24, 7: 82, 8: 328}
+# _order_key calls per n: a prefix that passes the twin and
+# canonical-deletion tests is keyed only when an earlier prefix has its
+# (down-set size, up-set size) invariant, and then each stored prefix of
+# that invariant is keyed once too; no emitted lattice is keyed.  Keying
+# every such prefix took 328 keys to reach n = 8, and the unfiltered
+# oracle walk keys 695
+PREFIX_KEYS = {1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 6: 0, 7: 9, 8: 63}
 
 
-def test_one_key_per_prefix(monkeypatch):
+def test_keys_only_on_invariant_collision(monkeypatch):
     calls = []
     key = search._order_key
 
@@ -110,7 +113,7 @@ def test_one_key_per_prefix(monkeypatch):
     calls.clear()
     reports = lv.conjecture_scan(8)
     assert [r.total_lattices for r in reports] == list(KNOWN_COUNTS.values())
-    assert len(calls) == PREFIX_KEYS[8] == 328
+    assert len(calls) == PREFIX_KEYS[8] == 63
 
 
 def _keys_by_size(walk):

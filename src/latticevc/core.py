@@ -207,22 +207,27 @@ def _from_down_masks(names, down):
     """Trusted constructor from reflexive, transitive down-set masks.
 
     The one place that derives cover structure.  Checks for a unique
-    bottom, computes the covers (the transitive reduction) from the
-    down-sets, both as the ``covers`` pairs and as the ``upper`` and
-    ``lower`` masks, checks for meets on them (:func:`_check_meets`),
-    computes the rank in one loop along the linear extension, and the
-    up-sets in one loop back.  The builders, :func:`interval`,
-    :func:`product` and the enumerator call it; outside input goes through
-    :func:`from_covers`.
+    bottom, then makes one pass over the elements y in index order.  It
+    takes y's lower covers (the transitive reduction) from the down-sets,
+    as the ``lower`` mask, as ``upper`` bits and as the parents behind the
+    ``covers`` pairs; it tests that y's lower covers have pairwise meets
+    (:func:`_check_meets`), skipping y when it has fewer than two; and,
+    when index order extends the order, it sets y's rank from its lower
+    covers, which all have smaller indices.  The maximal elements, the
+    lower covers of a virtual top, are tested after the pass, and the
+    up-sets are built in one loop back.  The
+    builders, :func:`interval`, :func:`product` and the enumerator call
+    it; outside input goes through :func:`from_covers`.
 
     The linear extension is the smallest-index-first topological order, the
-    one :func:`_linear_extension` computes.  When every ``down[y] >> y == 1``,
-    so that index order extends the order, that order is ``range(n)``: by
-    induction on k, once 0..k-1 are emitted, every element of k's strict
-    down-set has a smaller index and so is emitted, so k is ready, and no
-    smaller index is left.  This holds for every builder and figure, for
-    :func:`product`, for :func:`interval` of such a structure and for the
-    enumerator; the heap runs only for outside input numbered otherwise.
+    one :func:`_linear_extension` computes.  When the highest bit of every
+    ``down[y]`` is y, so that index order extends the order, that order is
+    ``range(n)``: by induction on k, once 0..k-1 are emitted, every element
+    of k's strict down-set has a smaller index and so is emitted, so k is
+    ready, and no smaller index is left.  This holds for every builder and
+    figure, for :func:`product`, for :func:`interval` of such a structure
+    and for the enumerator; the heap, and a rank loop along it, run only
+    for outside input numbered otherwise.
     """
     n = len(names)
     minimals = [x for x in range(n) if down[x] == 1 << x]
@@ -230,6 +235,8 @@ def _from_down_masks(names, down):
         raise NoBottom(f"{len(minimals)} minimal elements: "
                        + ", ".join(names[x] for x in minimals))
     bottom = minimals[0]
+    element = dict(zip(down, range(n)))
+    in_order = all(mask.bit_length() == y + 1 for y, mask in enumerate(down))
 
     # transitive reduction: the lower covers of y are the elements of its
     # strict down-set below no other one.  Each step takes the highest
@@ -241,7 +248,8 @@ def _from_down_masks(names, down):
     upper = [0] * n
     lower = []
     parents = [[] for _ in range(n)]
-    children = []
+    rank = [0] * n
+    ranked = True
     for y, rest in enumerate(strict):
         below = 0
         kids = []
@@ -254,35 +262,46 @@ def _from_down_masks(names, down):
         if len(kids) != covered.bit_count():
             kids = [x for x in kids if covered >> x & 1]
         lower.append(covered)
-        children.append(kids)
         bit = 1 << y
+        # each cover (x, y) proposes rank(x) + 1 for y, and two different
+        # proposals leave the structure unranked; rank(x) is set by now
+        # when index order extends the order, and otherwise the ranks are
+        # set again along the heap order below
+        r = rank[kids[0]] if kids else -1
         for x in kids:
             parents[x].append(y)
             upper[x] |= bit
+            if rank[x] != r:
+                ranked = False
+        rank[y] = r + 1
+        # the pair test of _check_meets, inlined: this runs once per
+        # element of every structure built; a failing pair raises there
+        if len(kids) > 1:
+            for i, a in enumerate(kids, 1):
+                da = down[a]
+                for b in kids[i:]:
+                    if da & down[b] not in element:
+                        _check_meets(names, down, element, kids)
 
     maximals = [x for x in range(n) if not upper[x]]
-    element = dict(zip(down, range(n)))
-    _check_meets(names, down, element, children + [maximals])
-    # freed before the up-sets are built, which keeps the peak down
-    del strict, children
+    if len(maximals) > 1:
+        _check_meets(names, down, element, maximals)
+    del strict  # freed before the up-sets are built, which keeps the peak down
 
-    if all(mask >> y == 1 for y, mask in enumerate(down)):
+    if in_order:
         order = range(n)
     else:
         order = _linear_extension(parents)
-
-    # each cover (x, p) proposes rank(x) + 1 for p, and two different
-    # proposals for the same p leave the structure unranked
-    rank = [None] * n
-    rank[bottom] = 0
-    ranked = True
-    for x in order:
-        r = rank[x] + 1
-        for p in parents[x]:
-            if rank[p] is None:
-                rank[p] = r
-            elif rank[p] != r:
-                ranked = False
+        rank = [None] * n
+        rank[bottom] = 0
+        ranked = True
+        for x in order:
+            r = rank[x] + 1
+            for p in parents[x]:
+                if rank[p] is None:
+                    rank[p] = r
+                elif rank[p] != r:
+                    ranked = False
 
     up = [1 << x for x in range(n)]
     for x in reversed(order):
@@ -307,14 +326,14 @@ def _from_down_masks(names, down):
     )
 
 
-def _check_meets(names, down, element, groups):
-    """Raise NotMeetSemilattice unless every pair of elements has a meet.
+def _check_meets(names, down, element, group):
+    """Raise NotMeetSemilattice unless every pair in ``group`` has a meet.
 
     The meet of x and y exists exactly when down[x] & down[y] is the
-    down-set of an element, a key of ``element``.  Only the pairs within
-    one of ``groups``, lists of elements, are tested: the lower covers of
-    each element, and the maximal elements (the lower covers of a virtual
-    top).  That suffices.
+    down-set of an element, a key of ``element``.  The pass of
+    :func:`_from_down_masks` tests the lower covers of each element with
+    two or more (inline, calling this on a group that fails), and then the
+    maximal elements, the lower covers of a virtual top.  That suffices.
     Were some pair without a meet, take z minimal among the common upper
     bounds of such pairs (the virtual top when none has one), a pair a, b
     under it, and lower covers a' >= a and b' >= b of z.  Then c = a' ^ b'
@@ -322,20 +341,20 @@ def _check_meets(names, down, element, groups):
     d ^ b exists (a pair under b' < z), and e is the meet of a and b.
 
     Only when a tested pair fails are all pairs scanned, in index order, so
-    the error names the first pair without a meet in that order.
+    the error names the first pair without a meet in that order, whichever
+    group failed first.
     """
-    for group in groups:
-        downs = [down[a] for a in group]
-        for i, da in enumerate(downs, 1):
-            for db in downs[i:]:
-                if da & db not in element:
-                    x, y = next(
-                        (x, y) for x in range(len(down))
-                        for y in range(x + 1, len(down))
-                        if down[x] & down[y] not in element)
-                    raise NotMeetSemilattice(
-                        f"elements {names[x]!r}, {names[y]!r} have no "
-                        "unique greatest common lower bound")
+    for i, a in enumerate(group, 1):
+        da = down[a]
+        for b in group[i:]:
+            if da & down[b] not in element:
+                x, y = next(
+                    (x, y) for x in range(len(down))
+                    for y in range(x + 1, len(down))
+                    if down[x] & down[y] not in element)
+                raise NotMeetSemilattice(
+                    f"elements {names[x]!r}, {names[y]!r} have no "
+                    "unique greatest common lower bound")
 
 
 def interval(lattice, x, y):

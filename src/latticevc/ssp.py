@@ -13,6 +13,7 @@ read the lattice's cover masks, ``upper`` and ``lower``.
 """
 
 from dataclasses import dataclass
+from itertools import compress, count
 
 from .core import _bits, _check_elements, product
 from .errors import (
@@ -226,6 +227,25 @@ def _packed_bytes(lattice):
     return lattice.n * ((bits + 7) // 8)
 
 
+# a keep mask of at most this many bits is a sum of one power of two per
+# block, and a longer one is set bit by bit in a bytearray; each way is the
+# faster one on its side (boolean:7 has 2,315 bits, chain:100 5,150)
+_SHORT_MASK_BITS = 4096
+# bytes.translate table from the digits of bin() to the bytes 0 and 1
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _ascending_bits(mask):
+    """Indices of the set bits of mask, ascending, in time linear in its
+    length: `core._bits` for a mask of one machine word, and otherwise the
+    digits of bin(mask), where `_bits` would take time quadratic in the
+    length, one big-int operation per set bit."""
+    if mask >> 64 == 0:
+        return _bits(mask)
+    return compress(count(), bin(mask)[:1:-1].encode().translate(
+        _BINARY_DIGITS))
+
+
 def _packed_masks(lattice):
     """The masks of the packed state, as (ones, guards, keep).
 
@@ -234,32 +254,49 @@ def _packed_masks(lattice):
     down[y] in index order, and the guard bit above them.  ``ones`` sets
     every bit below each guard: it is also the empty family's state, which
     meets y at no x.  ``guards`` sets every guard, and ``keep[j]`` every bit
-    but the rank bit of j ^ y in each block y.  Each mask is set bit by bit
-    in a bytearray and converted once, with no big-int shift per bit.
+    but the rank bit of j ^ y in each block y.
+
+    ``place[y]`` maps 1 + x to the position of x's bit in block y, for each
+    x <= y, read off down[y] by :func:`_ascending_bits`.  The meet j ^ y comes from its down-set down[j] & down[y]:
+    when index order extends the order, the meet is the highest bit of that
+    set, so its ``bit_length`` is 1 + the meet, with no big-int hashing;
+    otherwise a dict from down-sets gives it.  The positions of one keep
+    mask come from chained ``map`` calls, one per block.  A short mask is
+    the sum of its bits; a long one is set bit by bit in a bytearray and
+    converted once, with no big-int shift per bit.
     """
     down = lattice.down
-    # place[y]: the position of each x <= y in the state, keyed by down[x],
-    # so that down[j] & down[y] finds the bit of the meet j ^ y
+    n = len(down)
+    if lattice.linext == tuple(range(n)):
+        meet = int.bit_length
+    else:
+        meet = dict(zip(down, count(1))).__getitem__
     place = []
     lows = []       # lows[y]: the position of block y's lowest bit
     tops = []       # tops[y]: the position of block y's guard
     pos = 0
     for d in down:
         lows.append(pos)
-        place.append({down[x]: pos + r for r, x in enumerate(_bits(d))})
+        place.append({x + 1: p for p, x in enumerate(_ascending_bits(d), pos)})
         pos += d.bit_count()
         tops.append(pos)
         pos += 1
-    width = (pos + 7) // 8
 
-    def packed(positions):
-        mask = bytearray(width)
-        for p in positions:
-            mask[p >> 3] |= 1 << (p & 7)
-        return int.from_bytes(mask, "little")
+    if pos <= _SHORT_MASK_BITS:
+        def packed(positions):
+            return sum(map((1).__lshift__, positions))
+    else:
+        width = (pos + 7) // 8
+
+        def packed(positions):
+            mask = bytearray(width)
+            for p in positions:
+                mask[p >> 3] |= 1 << (p & 7)
+            return int.from_bytes(mask, "little")
 
     guards = packed(tops)
-    keep = [~packed(map(dict.__getitem__, place, map(dj.__and__, down)))
+    keep = [~packed(map(dict.__getitem__, place,
+                        map(meet, map(dj.__and__, down))))
             for dj in down]
     return guards - packed(lows), guards, keep
 

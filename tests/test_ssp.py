@@ -523,6 +523,19 @@ def test_packed_state_matches_definition():
                                   for _ in range(200)])
 
 
+def test_packed_state_matches_definition_out_of_index_order():
+    # the masks read each meet off its down-set by the highest bit only
+    # when index order extends the order; shuffled labels take the dict
+    rng = random.Random(29)
+    for spec in ("fig2", "boolean:4", "product(fig1,chain:1)", "chain:40"):
+        lat = load_source(spec)
+        perm = [0] + rng.sample(range(1, lat.n), lat.n - 1)
+        shuffled = relabel(lat, perm)
+        assert shuffled.linext != tuple(range(lat.n))
+        _check_packed_state(shuffled, [random_family(shuffled, rng)
+                                       for _ in range(50)])
+
+
 @pytest.mark.parametrize("spec", [
     "chain:0", "boolean:3", "fig2", "boolean:5", "subspace:3:3",
     "product(fig2,chain:1)", "boolean:9",

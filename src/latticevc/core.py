@@ -220,8 +220,8 @@ def _from_down_masks(names, down):
     it; outside input goes through :func:`from_covers`.
 
     The linear extension is the smallest-index-first topological order, the
-    one :func:`_linear_extension` computes.  When the highest bit of every
-    ``down[y]`` is y, so that index order extends the order, that order is
+    one :func:`_linear_extension` computes.  When every cover goes up in
+    index, so that index order extends the order, that order is
     ``range(n)``: by induction on k, once 0..k-1 are emitted, every element
     of k's strict down-set has a smaller index and so is emitted, so k is
     ready, and no smaller index is left.  This holds for every builder and
@@ -236,20 +236,22 @@ def _from_down_masks(names, down):
                        + ", ".join(names[x] for x in minimals))
     bottom = minimals[0]
     element = dict(zip(down, range(n)))
-    in_order = all(mask.bit_length() == y + 1 for y, mask in enumerate(down))
 
     # transitive reduction: the lower covers of y are the elements of its
     # strict down-set below no other one.  Each step takes the highest
     # index z left and drops down[z].  A lower cover is in no other
     # element's down-set, so every one is taken; when index order extends
     # the order the steps take exactly the lower covers, and otherwise the
-    # steps below another one are filtered out
+    # steps below another one are filtered out.  Index order extends the
+    # order exactly when every cover goes up in index, and the highest
+    # lower cover of y comes first
     strict = [mask ^ (1 << y) for y, mask in enumerate(down)]
     upper = [0] * n
     lower = []
     parents = [[] for _ in range(n)]
     rank = [0] * n
     ranked = True
+    in_order = True
     for y, rest in enumerate(strict):
         below = 0
         kids = []
@@ -261,6 +263,8 @@ def _from_down_masks(names, down):
         covered = strict[y] & ~below
         if len(kids) != covered.bit_count():
             kids = [x for x in kids if covered >> x & 1]
+        if kids and kids[0] > y:
+            in_order = False
         lower.append(covered)
         bit = 1 << y
         # each cover (x, y) proposes rank(x) + 1 for y, and two different

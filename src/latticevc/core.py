@@ -215,9 +215,9 @@ def _from_down_masks(names, down):
     when index order extends the order, it sets y's rank from its lower
     covers, which all have smaller indices.  The maximal elements, the
     lower covers of a virtual top, are tested after the pass, and the
-    up-sets are built in one loop back.  The
-    builders, :func:`interval`, :func:`product` and the enumerator call
-    it; outside input goes through :func:`from_covers`.
+    up-sets are built in one loop back.  The builders, :func:`interval`,
+    :func:`product` and the enumerator call it; outside input goes
+    through :func:`from_covers`.
 
     The linear extension is the smallest-index-first topological order, the
     one :func:`_linear_extension` computes.  When every cover goes up in

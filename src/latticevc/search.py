@@ -28,8 +28,7 @@ isomorphism-invariant tests in the spirit of canonical augmentation
 the least in their orbit (a), and only when its new element has a largest
 down-set among the child's maximal elements (b).  Every class still has a
 child that passes both, and the invariants and keys stay the final
-arbiter; see
-:func:`_lattice_masks`.
+arbiter; see :func:`_lattice_masks`.
 """
 
 from dataclasses import dataclass
@@ -292,9 +291,9 @@ def enumerate_lattices(n):
     """Every lattice on n elements, exactly once up to isomorphism.
 
     The walk of :func:`_lattice_masks` up to size n, keeping size n: it
-    tests and keys the same prefixes as a scan to n and builds only the lattices it
-    returns.  Deterministic order; every emitted structure has passed full
-    construction validation and has a top, so it is a lattice.
+    tests and keys the same prefixes as a scan to n and builds only the
+    lattices it returns.  Deterministic order; every emitted structure has
+    passed full construction validation and has a top, so it is a lattice.
     """
     if not 1 <= n <= MAX_ENUM:
         raise TooLarge(f"enumeration guard is n <= {MAX_ENUM}")

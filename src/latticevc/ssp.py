@@ -240,7 +240,7 @@ def _ascending_bits(mask):
     length: `core._bits` for a mask of one machine word, and otherwise the
     digits of bin(mask), where `_bits` would take time quadratic in the
     length, one big-int operation per set bit."""
-    if mask >> 64 == 0:
+    if mask.bit_length() <= 64:
         return _bits(mask)
     return compress(count(), bin(mask)[:1:-1].encode().translate(
         _BINARY_DIGITS))
@@ -257,12 +257,13 @@ def _packed_masks(lattice):
     but the rank bit of j ^ y in each block y.
 
     ``place[y]`` maps 1 + x to the position of x's bit in block y, for each
-    x <= y, read off down[y] by :func:`_ascending_bits`.  The meet j ^ y comes from its down-set down[j] & down[y]:
-    when index order extends the order, the meet is the highest bit of that
-    set, so its ``bit_length`` is 1 + the meet, with no big-int hashing;
-    otherwise a dict from down-sets gives it.  The positions of one keep
-    mask come from chained ``map`` calls, one per block.  A short mask is
-    the sum of its bits; a long one is set bit by bit in a bytearray and
+    x <= y, read off down[y] by :func:`_ascending_bits`.  The meet j ^ y is
+    found from its down-set down[j] & down[y]: when index order extends the
+    order, the meet is the highest element of that set, so the set's
+    ``bit_length`` is 1 + the meet, and no long mask is hashed; otherwise a
+    dict from down-sets gives 1 + the meet.  The positions of one keep mask
+    come from chained ``map`` calls, one per block.  A short mask is the
+    sum of its bits; a long one is set bit by bit in a bytearray and
     converted once, with no big-int shift per bit.
     """
     down = lattice.down

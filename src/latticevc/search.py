@@ -174,15 +174,18 @@ def _lattice_masks(n_max):
     the sorted multiset of (|down[x]|, |up[x]|) over its elements, to a
     bucket.  An isomorphism maps each element to one with as many elements
     below and above it, so isomorphic prefixes have equal invariants.  A
-    prefix alone in its bucket is therefore new: the bucket stores copies
-    of its masks (the walk edits ``down`` and ``up`` in place), and no key
-    is computed.  When a later prefix lands in the bucket, the stored masks
-    are keyed once and replaced by the set of keys; the prefix is keyed,
-    rejected on an equal key and added otherwise.  So every accept and
-    reject is the one that keying every prefix gives, and the walk yields
-    the same sequence and labelings; only the number of keys falls (none
-    below n = 7).  An invariant has one entry per element, so one dict
-    serves every level.
+    prefix alone in its bucket is therefore new: the bucket stores a tuple
+    of its down-sets (the walk edits its lists in place), and no key is
+    computed.  When a later prefix lands in the bucket, the stored prefix
+    is keyed once, its up-sets rebuilt from its down-sets, and the bucket
+    becomes the set of keys; the prefix is keyed, rejected on an equal key
+    and added otherwise.  So every accept and reject is the one that
+    keying every prefix gives, and the walk yields the same sequence and
+    labelings; only the number of keys falls (none below n = 7).  An
+    invariant has one entry per element, so one dict serves every level.
+    Invariants and stored prefixes are tuples of ints: they stay compact,
+    and the garbage collector stops tracking them, where its passes over
+    stored lists would grow with ``seen``.
 
     A candidate down-set D keeps meets unique when its intersection with
     each existing down-set is one of the prefix's down-sets (the set
@@ -224,22 +227,28 @@ def _lattice_masks(n_max):
     if n_max < 1:
         return
     yield [1]
-    # invariant -> the masks of the one prefix met with it, or the set of
-    # keys of the prefixes met with it once there are two or more;
+    # invariant -> the down-sets of the one prefix met with it, or the set
+    # of keys of the prefixes met with it once there are two or more;
     # invariants have the prefix's length, so one dict serves every level
     seen = {}
     down = [1]  # down-set masks of the prefix; element 0 is the bottom
     up = [1]
 
     def extend(i, ideals):
-        inv = tuple(sorted(zip(map(int.bit_count, down),
-                               map(int.bit_count, up))))
+        # (|down[x]|, |up[x]|) as one small int: both counts are at most i
+        w = i + 1
+        inv = tuple(sorted([d.bit_count() * w + u.bit_count()
+                            for d, u in zip(down, up)]))
         bucket = seen.get(inv)
         if bucket is None:
-            seen[inv] = (up[:], down[:])  # copies: the walk edits both
+            seen[inv] = tuple(down)
         else:
             if type(bucket) is tuple:
-                bucket = seen[inv] = {_order_key(*bucket)}
+                first_up = [0] * i
+                for y, d in enumerate(bucket):
+                    for x in _bits(d):
+                        first_up[x] |= 1 << y
+                bucket = seen[inv] = {_order_key(first_up, bucket)}
             key = _order_key(up, down)
             if key in bucket:
                 return  # an isomorphic prefix was extended earlier

@@ -1,9 +1,9 @@
 """Finite meet-semilattices and lattices on dense integer indices.
 
-Elements are indices 0..n-1 with string labels.  The order relation, cover
-pairs and the (optional) rank function are computed and validated at
-construction time, and so is the existence of every meet; instances are
-immutable afterwards.  Meets are read from one map: x ^ y is the element
+Elements are indices 0..n-1 with string labels.  The order relation and
+the cover pairs are computed and validated at construction time, and so is
+the existence of every meet; instances are immutable afterwards.  The
+(optional) rank function and the label index are derived on first read.  Meets are read from one map: x ^ y is the element
 whose down-set is down[x] & down[y].  With a top the structure is a
 lattice: x v y = a exactly when up[x] & up[y] == up[a].
 
@@ -13,6 +13,7 @@ follow it: bit y of ``upper[x]`` and bit x of ``lower[y]`` are set iff y
 covers x.
 """
 
+import functools
 import heapq
 
 from .errors import (
@@ -82,18 +83,20 @@ class Lattice:
                x and y is element[down[x] & down[y]]
     bottom   : index of the unique minimal element
     top      : index of the maximal element, or None (not a lattice)
-    rank     : tuple of ranks, or None when no consistent rank exists
     linext   : a fixed linear extension (tuple of indices)
+    rank     : tuple of ranks, or None when no consistent rank exists;
+               derived on first read and cached
 
     Construct through :func:`from_covers` (outside input) or
     :func:`_from_down_masks` (down-sets the package derives itself); the
     constructor trusts its inputs.  Construction has checked that every
     pair has a meet (:func:`_check_meets`), so ``element`` holds every
-    down[x] & down[y].
+    down[x] & down[y].  The label index behind :meth:`index` is built on
+    its first call.
     """
 
     def __init__(self, n, names, up, down, covers, upper, lower, element,
-                 bottom, top, rank, linext):
+                 bottom, top, linext):
         self.n = n
         self.names = names
         self.up = up
@@ -104,9 +107,27 @@ class Lattice:
         self.element = element
         self.bottom = bottom
         self.top = top
-        self.rank = rank
         self.linext = linext
-        self._index = {nm: i for i, nm in enumerate(names)}
+
+    @functools.cached_property
+    def rank(self):
+        """The bottom has rank 0, and along ``linext`` each cover (x, p)
+        proposes rank(x) + 1 for p; two different proposals leave the
+        structure unranked (None)."""
+        rank = [None] * self.n
+        rank[self.bottom] = 0
+        for x in self.linext:
+            r = rank[x] + 1
+            for p in _bits(self.upper[x]):
+                if rank[p] is None:
+                    rank[p] = r
+                elif rank[p] != r:
+                    return None
+        return tuple(rank)
+
+    @functools.cached_property
+    def _index(self):
+        return {nm: i for i, nm in enumerate(self.names)}
 
     def leq(self, x, y):
         _check_elements(self.n, (x, y), "leq")
@@ -210,14 +231,13 @@ def _from_down_masks(names, down):
     bottom, then makes one pass over the elements y in index order.  It
     takes y's lower covers (the transitive reduction) from the down-sets,
     as the ``lower`` mask, as ``upper`` bits and as the parents behind the
-    ``covers`` pairs; it tests that y's lower covers have pairwise meets
-    (:func:`_check_meets`), skipping y when it has fewer than two; and,
-    when index order extends the order, it sets y's rank from its lower
-    covers, which all have smaller indices.  The maximal elements, the
-    lower covers of a virtual top, are tested after the pass, and the
-    up-sets are built in one loop back.  The builders, :func:`interval`,
-    :func:`product` and the enumerator call it; outside input goes
-    through :func:`from_covers`.
+    ``covers`` pairs, and it hands y's lower covers to
+    :func:`_check_meets` when there are two or more.  The maximal
+    elements, the lower covers of a virtual top, are tested after the
+    pass, and the up-sets are built in one loop back.  The rank and the
+    label index are left to the first read (:class:`Lattice`).  The
+    builders, :func:`interval`, :func:`product` and the enumerator call
+    it; outside input goes through :func:`from_covers`.
 
     The linear extension is the smallest-index-first topological order, the
     one :func:`_linear_extension` computes.  When every cover goes up in
@@ -226,8 +246,8 @@ def _from_down_masks(names, down):
     of k's strict down-set has a smaller index and so is emitted, so k is
     ready, and no smaller index is left.  This holds for every builder and
     figure, for :func:`product`, for :func:`interval` of such a structure
-    and for the enumerator; the heap, and a rank loop along it, run only
-    for outside input numbered otherwise.
+    and for the enumerator; the heap runs only for outside input numbered
+    otherwise.
     """
     n = len(names)
     minimals = [x for x in range(n) if down[x] == 1 << x]
@@ -249,8 +269,6 @@ def _from_down_masks(names, down):
     upper = [0] * n
     lower = []
     parents = [[] for _ in range(n)]
-    rank = [0] * n
-    ranked = True
     in_order = True
     for y, rest in enumerate(strict):
         below = 0
@@ -267,46 +285,18 @@ def _from_down_masks(names, down):
             in_order = False
         lower.append(covered)
         bit = 1 << y
-        # each cover (x, y) proposes rank(x) + 1 for y, and two different
-        # proposals leave the structure unranked; rank(x) is set by now
-        # when index order extends the order, and otherwise the ranks are
-        # set again along the heap order below
-        r = rank[kids[0]] if kids else -1
         for x in kids:
             parents[x].append(y)
             upper[x] |= bit
-            if rank[x] != r:
-                ranked = False
-        rank[y] = r + 1
-        # the pair test of _check_meets, inlined: this runs once per
-        # element of every structure built; a failing pair raises there
         if len(kids) > 1:
-            for i, a in enumerate(kids, 1):
-                da = down[a]
-                for b in kids[i:]:
-                    if da & down[b] not in element:
-                        _check_meets(names, down, element, kids)
+            _check_meets(names, down, element, kids)
 
     maximals = [x for x in range(n) if not upper[x]]
     if len(maximals) > 1:
         _check_meets(names, down, element, maximals)
     del strict  # freed before the up-sets are built, which keeps the peak down
 
-    if in_order:
-        order = range(n)
-    else:
-        order = _linear_extension(parents)
-        rank = [None] * n
-        rank[bottom] = 0
-        ranked = True
-        for x in order:
-            r = rank[x] + 1
-            for p in parents[x]:
-                if rank[p] is None:
-                    rank[p] = r
-                elif rank[p] != r:
-                    ranked = False
-
+    order = range(n) if in_order else _linear_extension(parents)
     up = [1 << x for x in range(n)]
     for x in reversed(order):
         mask = up[x]
@@ -325,7 +315,6 @@ def _from_down_masks(names, down):
         element=element,
         bottom=bottom,
         top=maximals[0] if len(maximals) == 1 else None,
-        rank=tuple(rank) if ranked else None,
         linext=tuple(order),
     )
 
@@ -335,9 +324,9 @@ def _check_meets(names, down, element, group):
 
     The meet of x and y exists exactly when down[x] & down[y] is the
     down-set of an element, a key of ``element``.  The pass of
-    :func:`_from_down_masks` tests the lower covers of each element with
-    two or more (inline, calling this on a group that fails), and then the
-    maximal elements, the lower covers of a virtual top.  That suffices.
+    :func:`_from_down_masks` calls this on the lower covers of each element
+    with two or more, and then on the maximal elements, the lower covers of
+    a virtual top.  That suffices.
     Were some pair without a meet, take z minimal among the common upper
     bounds of such pairs (the virtual top when none has one), a pair a, b
     under it, and lower covers a' >= a and b' >= b of z.  Then c = a' ^ b'

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import latticevc as lv
-from latticevc import builders, cli, core
+from latticevc import builders, cli, core, search
 from latticevc.core import _bits
 from latticevc.errors import (
     LatticeFormatError,
@@ -254,6 +254,62 @@ def test_order_fields_match_definition():
         else:
             assert lat.linext == tuple(range(n))
     assert checked > 1000
+
+
+def _derived_fields(lat):
+    """The derived fields a lattice has computed so far: construction
+    leaves the rank and the label index to their first read."""
+    return {"rank", "_index"} & vars(lat).keys()
+
+
+def test_rank_and_label_index_derived_on_first_read(monkeypatch):
+    built = []
+    for shuffled in _random_posets(300):
+        n = len(shuffled)
+        order = _oracle_linext(shuffled)
+        position = {x: i for i, x in enumerate(order)}
+        renumbered = [sum(1 << position[z] for z in _bits(shuffled[x]))
+                      for x in order]
+        for down in (shuffled, renumbered):
+            try:
+                lat = core._from_down_masks(tuple(map(str, range(n))), down)
+            except NotMeetSemilattice:
+                break
+            pairs = list(lat.covers)
+            random.Random(n).shuffle(pairs)
+            again = lv.from_covers(n, lat.names, pairs)
+            assert not _derived_fields(lat) and not _derived_fields(again)
+            built.append((lat, down))
+    assert any(lat.linext != tuple(range(lat.n)) for lat, _ in built)
+
+    # the ssp-auto and scan paths read neither field; m3 is left out, as
+    # from_matroid checks the rank of its flats
+    for name, lat in build_corpus().items():
+        if name != "m3":
+            lv.is_ssp(lat, "auto")
+            assert not _derived_fields(lat), name
+    scanned = []
+
+    def keep(names, down):
+        scanned.append(core._from_down_masks(names, down))
+        return scanned[-1]
+
+    monkeypatch.setattr(search, "_from_down_masks", keep)
+    lv.conjecture_scan(7)
+    assert len(scanned) == 1 + 1 + 1 + 2 + 5 + 15 + 53
+    assert not any(_derived_fields(lat) for lat in scanned)
+
+    # the first read computes the field by definition, and keeps it
+    for lat, down in built:
+        assert lat.rank == _oracle_rank(down, lat.covers, lat.linext)
+        assert _derived_fields(lat) == {"rank"}
+        assert lat.rank is vars(lat)["rank"]
+    assert any(lat.rank is None for lat, _ in built)
+    lat = lv.fig1()
+    assert lat.index("12") == lat.names.index("12")
+    with pytest.raises(ValueError, match="^no element labelled 'missing'$"):
+        lat.index("missing")
+    assert _derived_fields(lat) == {"_index"}
 
 
 def test_meets_equal_oracle_table():

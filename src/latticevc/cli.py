@@ -45,7 +45,8 @@ def _split_product_args(body):
 
 def load_source(spec):
     """Resolve a builder expression first, then fall back to a file path;
-    more than ``_MAX_PRODUCTS`` product operators is a usage error."""
+    more than ``_MAX_PRODUCTS`` product operators, or a product whose pair
+    labels collide, is a usage error."""
     spec = spec.strip()
     if spec == "fig1":
         return builders.fig1()
@@ -57,7 +58,11 @@ def load_source(spec):
         if spec.count("product(") > _MAX_PRODUCTS:
             raise UsageError(f"more than {_MAX_PRODUCTS} product operators")
         left, right = _split_product_args(spec[len("product("):-1])
-        return product(load_source(left), load_source(right))
+        factors = load_source(left), load_source(right)
+        try:
+            return product(*factors)
+        except ValueError as exc:
+            raise UsageError(f"bad product {spec!r}: {exc}") from None
     for prefix, build, count in (("boolean:", builders.boolean, 1),
                                  ("chain:", builders.chain, 1),
                                  ("subspace:", builders.subspace_lattice, 2)):

@@ -209,6 +209,19 @@ def test_bad_source_is_a_usage_error(source, tmp_path, capsys):
     assert err.startswith("latticevc: ") and err.count("\n") == 1
 
 
+def test_product_with_colliding_labels_is_a_usage_error(tmp_path, capsys):
+    # (p, q|r) and (p|q, r) are both labelled (p|q|r)
+    (tmp_path / "a.lat").write_text("elem p\nelem p|q\ncover p p|q\n")
+    (tmp_path / "b.lat").write_text("elem q|r\nelem r\ncover q|r r\n")
+    source = f"product({tmp_path / 'a.lat'},{tmp_path / 'b.lat'})"
+    for verb in ("build", "rc", "ssp"):
+        assert run_cli(verb, source) == (2, "")
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == (f"latticevc: bad product {source!r}: "
+                       "element labels must be unique\n")
+
+
 def test_refused_arguments_exit_2(tmp_path, capsys):
     no_top = tmp_path / "vee.lat"
     no_top.write_text("elem b\nelem x\nelem y\ncover b x\ncover b y\n")

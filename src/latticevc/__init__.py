@@ -17,7 +17,6 @@ indices.  See the module docstrings for the individual areas:
 
 from .builders import (
     MatroidSpec,
-    Subspace,
     boolean,
     chain,
     critical_family,

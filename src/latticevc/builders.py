@@ -106,19 +106,6 @@ def _echelon_bases(q, n, d):
             yield tuple(tuple(r) for r in rows)
 
 
-def _span(q, n, basis):
-    vecs = set()
-    d = len(basis)
-    for coeffs in iproduct(range(q), repeat=d):
-        v = [0] * n
-        for c, row in zip(coeffs, basis):
-            if c:
-                for j in range(n):
-                    v[j] = (v[j] + c * row[j]) % q
-        vecs.add(tuple(v))
-    return frozenset(vecs)
-
-
 def _subspace_labels(bases):
     """Labels of echelon bases: "0" for the zero space, and otherwise the
     rows, each written as its entries' digits, joined by dots.  Each
@@ -134,27 +121,6 @@ def _subspace_labels(bases):
                 rows[row] = "".join(map(str, row))
         labels.append(".".join([rows[row] for row in basis]))
     return labels
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """A subspace of F_q^n held by its reduced row-echelon basis.
-
-    The echelon basis is canonical, so two Subspace values are equal iff
-    they span the same set of vectors; labels derive from the basis rows.
-    """
-    q: int
-    n: int
-    basis: tuple
-
-    def vectors(self):
-        return _span(self.q, self.n, self.basis)
-
-    def dim(self):
-        return len(self.basis)
-
-    def name(self):
-        return _subspace_labels([self.basis])[0]
 
 
 def _ordered_bases(q, n):

@@ -7,6 +7,7 @@ checked against something that cannot share their bugs.
 
 import functools
 import random
+from dataclasses import dataclass
 from itertools import combinations, product as iproduct
 
 import pytest
@@ -17,6 +18,7 @@ from latticevc.builders import (
     _is_prime,
     _ordered_bases,
     _subset_names,
+    _subspace_labels,
     qbinom,
 )
 from latticevc.core import MAX_ELEMENTS, _bits, _check_size
@@ -236,10 +238,45 @@ def oracle_is_rc(lattice):
     return None
 
 
+def _span(q, n, basis):
+    vecs = set()
+    d = len(basis)
+    for coeffs in iproduct(range(q), repeat=d):
+        v = [0] * n
+        for c, row in zip(coeffs, basis):
+            if c:
+                for j in range(n):
+                    v[j] = (v[j] + c * row[j]) % q
+        vecs.add(tuple(v))
+    return frozenset(vecs)
+
+
+@dataclass(frozen=True)
+class Subspace:
+    """A subspace of F_q^n held by its reduced row-echelon basis, for the
+    vector-span oracle; ``subspace_lattice`` works on point masks instead.
+
+    The echelon basis is canonical, so two Subspace values are equal iff
+    they span the same set of vectors; labels derive from the basis rows.
+    """
+    q: int
+    n: int
+    basis: tuple
+
+    def vectors(self):
+        return _span(self.q, self.n, self.basis)
+
+    def dim(self):
+        return len(self.basis)
+
+    def name(self):
+        return _subspace_labels([self.basis])[0]
+
+
 def all_subspaces(q, n):
     """Every subspace of F_q^n as a Subspace, ordered by (dim, basis): the
     element order of ``subspace_lattice``."""
-    return [lv.Subspace(q, n, basis) for basis in _ordered_bases(q, n)]
+    return [Subspace(q, n, basis) for basis in _ordered_bases(q, n)]
 
 
 def relabel(lattice, perm):

@@ -3,9 +3,10 @@
 Elements are indices 0..n-1 with string labels.  The order relation and
 the cover pairs are computed and validated at construction time, and so is
 the existence of every meet; instances are immutable afterwards.  The
-(optional) rank function and the label index are derived on first read.  Meets are read from one map: x ^ y is the element
-whose down-set is down[x] & down[y].  With a top the structure is a
-lattice: x v y = a exactly when up[x] & up[y] == up[a].
+(optional) rank function and the label index are derived on first read.
+Meets are read from one map: x ^ y is the element whose down-set is
+down[x] & down[y].  With a top the structure is a lattice: x v y = a
+exactly when up[x] & up[y] == up[a].
 
 Bitmask convention used throughout the package: bit y of ``up[x]`` is set
 iff x <= y, and bit x of ``down[y]`` is set iff x <= y.  The cover masks

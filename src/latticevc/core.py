@@ -228,17 +228,18 @@ def _linear_extension(parents):
 def _from_down_masks(names, down):
     """Trusted constructor from reflexive, transitive down-set masks.
 
-    The one place that derives cover structure.  Checks for a unique
-    bottom, then makes one pass over the elements y in index order.  It
-    takes y's lower covers (the transitive reduction) from the down-sets,
-    as the ``lower`` mask, as ``upper`` bits and as the parents behind the
-    ``covers`` pairs, and it hands y's lower covers to
-    :func:`_check_meets` when there are two or more.  The maximal
-    elements, the lower covers of a virtual top, are tested after the
-    pass, and the up-sets are built in one loop back.  The rank and the
-    label index are left to the first read (:class:`Lattice`).  The
-    builders, :func:`interval`, :func:`product` and the enumerator call
-    it; outside input goes through :func:`from_covers`.
+    Checks for a unique bottom, then makes one pass over the elements y in
+    index order.  It takes y's lower covers from :func:`_lower_covers`, as
+    the ``lower`` mask, as ``upper`` bits and as the parents behind the
+    ``covers`` pairs, and it hands y's lower covers to :func:`_check_meets`
+    when there are two or more.  The maximal elements, the lower covers of
+    a virtual top, are tested after the pass, and the up-sets are built in
+    one loop back.  The rank and the label index are left to the first
+    read (:class:`Lattice`).  The builders, :func:`interval` and
+    :func:`product` call it; outside input goes through
+    :func:`from_covers`.  The enumerator keeps the same structure for each
+    element it adds and assembles its lattices directly, with the same
+    helpers and checks.
 
     The linear extension is the smallest-index-first topological order, the
     one :func:`_linear_extension` computes.  When every cover goes up in
@@ -258,30 +259,15 @@ def _from_down_masks(names, down):
     bottom = minimals[0]
     element = dict(zip(down, range(n)))
 
-    # transitive reduction: the lower covers of y are the elements of its
-    # strict down-set below no other one.  Each step takes the highest
-    # index z left and drops down[z].  A lower cover is in no other
-    # element's down-set, so every one is taken; when index order extends
-    # the order the steps take exactly the lower covers, and otherwise the
-    # steps below another one are filtered out.  Index order extends the
-    # order exactly when every cover goes up in index, and the highest
-    # lower cover of y comes first
     strict = [mask ^ (1 << y) for y, mask in enumerate(down)]
     upper = [0] * n
     lower = []
     parents = [[] for _ in range(n)]
     in_order = True
     for y, rest in enumerate(strict):
-        below = 0
-        kids = []
-        while rest:
-            z = rest.bit_length() - 1
-            kids.append(z)
-            below |= strict[z]
-            rest &= ~down[z]
-        covered = strict[y] & ~below
-        if len(kids) != covered.bit_count():
-            kids = [x for x in kids if covered >> x & 1]
+        covered, kids = _lower_covers(rest, down, strict)
+        # index order extends the order exactly when every cover goes up in
+        # index; the highest lower cover comes first
         if kids and kids[0] > y:
             in_order = False
         lower.append(covered)
@@ -320,6 +306,32 @@ def _from_down_masks(names, down):
     )
 
 
+def _lower_covers(rest, down, strict):
+    """The lower covers of an element whose strict down-set is ``rest``,
+    as a mask and as a list, highest index first.
+
+    The one place that derives cover structure: the transitive reduction.
+    The lower covers are the elements of ``rest`` below no other one.
+    Each step takes the highest index z left and drops down[z];
+    ``strict[z]`` is down[z] without z.  A lower cover is in no other
+    element's down-set, so every one is taken.  When index order extends
+    the order the steps take exactly the lower covers, and otherwise the
+    steps below another one are filtered out.
+    """
+    below = 0
+    kids = []
+    covered = rest
+    while rest:
+        z = rest.bit_length() - 1
+        kids.append(z)
+        below |= strict[z]
+        rest &= ~down[z]
+    covered &= ~below
+    if len(kids) != covered.bit_count():
+        kids = [x for x in kids if covered >> x & 1]
+    return covered, kids
+
+
 def _check_meets(names, down, element, group):
     """Raise NotMeetSemilattice unless every pair in ``group`` has a meet.
 
@@ -327,7 +339,8 @@ def _check_meets(names, down, element, group):
     down-set of an element, a key of ``element``.  The pass of
     :func:`_from_down_masks` calls this on the lower covers of each element
     with two or more, and then on the maximal elements, the lower covers of
-    a virtual top.  That suffices.
+    a virtual top; the enumerator makes the same calls as it adds each
+    element and as it adds the top.  That suffices.
     Were some pair without a meet, take z minimal among the common upper
     bounds of such pairs (the virtual top when none has one), a pair a, b
     under it, and lower covers a' >= a and b' >= b of z.  Then c = a' ^ b'

@@ -11,8 +11,15 @@ generation (McKay 1998; Heitzig & Reinhold 2002): a partial structure
 (prefix) isomorphic to one met earlier is not extended.  The extension rule
 is isomorphism-invariant, so the pruned subtree only holds relabelings of
 leaves already emitted from the earlier prefix, which the depth-first order
-has finished.  One :class:`Lattice` is built and validated per isomorphism
-class.
+has finished.
+
+The walk hands out finished lattices, one :class:`Lattice` per isomorphism
+class.  It keeps the cover structure of its prefix as it goes: each
+element's covers are derived once, by the reduction step and the meet
+check that :func:`core._from_down_masks` uses, when the element's prefix
+is accepted, and undone when the walk leaves it.  A lattice is the prefix
+plus the forced top, assembled from that state with one more meet check,
+on the top's lower covers.
 
 A canonical form of the raw down-masks tells isomorphic prefixes apart, and
 it is computed only when needed: first each prefix gets a cheap invariant,
@@ -28,13 +35,20 @@ isomorphism-invariant tests in the spirit of canonical augmentation
 the least in their orbit (a), and only when its new element has a largest
 down-set among the child's maximal elements (b).  Every class still has a
 child that passes both, and the invariants and keys stay the final
-arbiter; see :func:`_lattice_masks`.
+arbiter; see :func:`_walk`.
 """
 
 from dataclasses import dataclass
 
-from .core import _bits, _from_down_masks, emit_lattice_text, format_family
-from .errors import TooLarge
+from .core import (
+    Lattice,
+    _bits,
+    _check_meets,
+    _lower_covers,
+    emit_lattice_text,
+    format_family,
+)
+from .errors import NoBottom, TooLarge
 from .ssp import CERT_NON_RC, CERTIFIED, INCONCLUSIVE, is_ssp
 
 MAX_ENUM = 10
@@ -156,8 +170,8 @@ def is_isomorphic(a, b):
 # enumeration
 # ---------------------------------------------------------------------------
 
-def _lattice_masks(n_max):
-    """Down-masks of every lattice on 1..n_max elements, once per class.
+def _walk(n_max, n_min=1):
+    """Every lattice on n_min..n_max elements, once per class.
 
     The one-element lattice comes first.  Then the walk grows prefixes of
     1 <= i < n_max elements depth first and tests each once, on entry; a
@@ -169,6 +183,19 @@ def _lattice_masks(n_max):
     the bottom and keep meets unique, and depth-first order finishes the
     earlier prefix first.  The forced top does not change the isomorphism
     class, so distinct prefixes give distinct lattices.
+
+    The walk hands out finished lattices.  Beside the down- and up-sets it
+    keeps, for each prefix element, its strict down-set, its lower- and
+    upper-cover masks, its parents (the elements covering it, ascending)
+    and its entry in ``element``.  They are derived once for the newest
+    element of each accepted prefix, as :func:`core._from_down_masks`
+    derives them: its lower covers by :func:`core._lower_covers`, a second
+    minimal element refused, and :func:`core._check_meets` on its lower
+    covers when there are two or more.  They are undone when the walk
+    leaves the prefix.  :func:`_assemble` builds the lattice of a prefix
+    plus the top from them, for the sizes n_min and up only; it makes the
+    last check, on the top's lower covers.  A rejected prefix derives
+    nothing.
 
     The test on entry is lazy.  ``seen`` maps the invariant of a prefix,
     the sorted multiset of (|down[x]|, |up[x]|) over its elements, to a
@@ -226,15 +253,24 @@ def _lattice_masks(n_max):
     """
     if n_max < 1:
         return
-    yield [1]
+    labels = tuple(str(i) for i in range(n_max))
+    if n_min <= 1:
+        yield _assemble(labels, [], [], [], [], [], {}, 0)
     # invariant -> the down-sets of the one prefix met with it, or the set
     # of keys of the prefixes met with it once there are two or more;
     # invariants have the prefix's length, so one dict serves every level
     seen = {}
     down = [1]  # down-set masks of the prefix; element 0 is the bottom
     up = [1]
+    strict = [0]
+    # derived when a prefix is accepted, for its newest element
+    lower = []
+    upper = []
+    parents = []
+    element = {}
 
-    def extend(i, ideals):
+    # ``maximal`` is the mask of the prefix's maximal elements
+    def extend(i, ideals, maximal):
         # (|down[x]|, |up[x]|) as one small int: both counts are at most i
         w = i + 1
         inv = tuple(sorted([d.bit_count() * w + u.bit_count()
@@ -253,63 +289,126 @@ def _lattice_masks(n_max):
             if key in bucket:
                 return  # an isomorphic prefix was extended earlier
             bucket.add(key)
-        bit = 1 << i
-        yield down + [(bit - 1) | bit]
-        if i + 1 == n_max:
-            return
-        # (b): larger[s] holds the maximal elements whose down-set has
-        # more than s members, which a candidate D with |D| + 1 = s must
-        # hold
-        larger = [0] * (i + 2)
-        # (a): (first, second) bits of index-consecutive twins
-        twins = []
-        last = {}
-        for x in range(i):
-            dx, ux = down[x], up[x]
-            xbit = 1 << x
-            if ux == xbit:
-                for s in range(dx.bit_count()):
-                    larger[s] |= xbit
-            strict = (dx ^ xbit, ux ^ xbit)
-            if strict in last:
-                twins.append((last[strict], xbit))
-            last[strict] = xbit
-        principal = set(down)
-        up.append(bit)
-        for dmask in ideals:
-            if larger[dmask.bit_count() + 1] & ~dmask:
-                continue
-            if any(dmask & b and not dmask & a for a, b in twins):
-                continue
-            if all(dmask & dx in principal for dx in down):
-                down.append(dmask | bit)
-                for d in _bits(dmask):
-                    up[d] |= bit
-                yield from extend(i + 1, ideals + [
-                    m | bit for m in ideals if m & dmask == dmask])
-                for d in _bits(dmask):
-                    up[d] ^= bit
-                down.pop()
-        up.pop()
+
+        new = i - 1
+        newbit = 1 << new
+        covered, kids = _lower_covers(strict[new], down, strict)
+        if new and not covered:
+            raise NoBottom(f"2 minimal elements: 0, {new}")
+        lower.append(covered)
+        upper.append(0)
+        parents.append([])
+        element[down[new]] = new
+        for x in kids:
+            parents[x].append(new)
+            upper[x] |= newbit
+        if len(kids) > 1:
+            _check_meets(labels, down, element, kids)
+
+        if i + 1 >= n_min:
+            yield _assemble(labels, down, up, lower, upper, parents, element,
+                            maximal)
+        if i + 1 < n_max:
+            bit = 1 << i
+            # (b): larger[s] holds the maximal elements whose down-set has
+            # more than s members, which a candidate D with |D| + 1 = s must
+            # hold
+            larger = [0] * (i + 2)
+            # (a): (first, second) bits of index-consecutive twins
+            twins = []
+            last = {}
+            for x in range(i):
+                dx, ux = down[x], up[x]
+                xbit = 1 << x
+                if ux == xbit:
+                    for s in range(dx.bit_count()):
+                        larger[s] |= xbit
+                pair = (dx ^ xbit, ux ^ xbit)
+                if pair in last:
+                    twins.append((last[pair], xbit))
+                last[pair] = xbit
+            principal = set(down)
+            up.append(bit)
+            for dmask in ideals:
+                if larger[dmask.bit_count() + 1] & ~dmask:
+                    continue
+                if any(dmask & b and not dmask & a for a, b in twins):
+                    continue
+                if all(dmask & dx in principal for dx in down):
+                    down.append(dmask | bit)
+                    strict.append(dmask)
+                    for d in _bits(dmask):
+                        up[d] |= bit
+                    yield from extend(i + 1, ideals + [
+                        m | bit for m in ideals if m & dmask == dmask],
+                        maximal & ~dmask | bit)
+                    for d in _bits(dmask):
+                        up[d] ^= bit
+                    strict.pop()
+                    down.pop()
+            up.pop()
+
+        for x in kids:
+            upper[x] ^= newbit
+            parents[x].pop()
+        del element[down[new]]
+        parents.pop()
+        upper.pop()
+        lower.pop()
 
     if n_max > 1:
-        yield from extend(1, [1])
+        yield from extend(1, [1], 1)
+
+
+def _assemble(names, down, up, lower, upper, parents, element, maximal):
+    """The lattice of a walk prefix plus the forced top, from the state
+    :func:`_walk` keeps for the prefix; ``maximal`` masks the prefix's
+    maximal elements, the top's lower covers.
+
+    The top takes the next index, so index order still extends the order
+    and is the linear extension.  It lies above everything, and it is the
+    only parent of each maximal element.  The maximal elements are handed
+    to :func:`core._check_meets` when there are two or more.  Every field
+    is a new tuple or dict, so the walk's later edits never reach a
+    lattice it has handed out.
+    """
+    top = len(down)
+    n = top + 1
+    bit = 1 << top
+    full = bit | (bit - 1)
+    down = (*down, full)
+    element = {**element, full: top}
+    if maximal & (maximal - 1):
+        _check_meets(names, down, element, list(_bits(maximal)))
+    top_only = (top,)
+    return Lattice(
+        n=n,
+        names=names[:n],
+        up=(*[u | bit for u in up], bit),
+        down=down,
+        covers=tuple([(x, p) for x, ps in enumerate(parents)
+                      for p in ps or top_only]),
+        upper=(*[u or bit for u in upper], 0),
+        lower=(*lower, maximal),
+        element=element,
+        bottom=0,
+        top=top,
+        linext=tuple(range(n)),
+    )
 
 
 def enumerate_lattices(n):
     """Every lattice on n elements, exactly once up to isomorphism.
 
-    The walk of :func:`_lattice_masks` up to size n, keeping size n: it
-    tests and keys the same prefixes as a scan to n and builds only the
-    lattices it returns.  Deterministic order; every emitted structure has
-    passed full construction validation and has a top, so it is a lattice.
+    The walk of :func:`_walk` up to size n, keeping size n: it tests and
+    keys the same prefixes as a scan to n and assembles only the lattices
+    it returns.  Deterministic order; every emitted structure has passed
+    the checks :func:`core._from_down_masks` makes and has a top, so it is
+    a lattice.
     """
     if not 1 <= n <= MAX_ENUM:
         raise TooLarge(f"enumeration guard is n <= {MAX_ENUM}")
-    names = tuple(str(i) for i in range(n))
-    for down in _lattice_masks(n):
-        if len(down) == n:
-            yield _from_down_masks(names, down)
+    yield from _walk(n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +437,9 @@ class ScanReport:
 def conjecture_scan(n_max):
     """One ScanReport per size 1..n_max.
 
-    One walk of :func:`_lattice_masks` yields every size, so each prefix
-    is tested once for the whole scan, and each size is tallied as its
-    lattices appear, in :func:`enumerate_lattices` order.  Each lattice
+    One walk of :func:`_walk` yields the lattices of every size, so each
+    prefix is tested once for the whole scan, and each size is tallied as
+    its lattices appear, in :func:`enumerate_lattices` order.  Each lattice
     gets one ``is_ssp(..., "auto")`` verdict in this process.  That verdict
     tests RC first and labels a non-RC counterexample ``CERT_NON_RC``, so
     RC is decided once per lattice; a lattice whose RC status and decided
@@ -350,13 +449,11 @@ def conjecture_scan(n_max):
     if n_max > MAX_ENUM:
         raise TooLarge(f"enumeration guard is n <= {MAX_ENUM}")
     sizes = range(1, n_max + 1)
-    names = {n: tuple(str(i) for i in range(n)) for n in sizes}
     total, rc, ssp, inconclusive, agreements = (
         dict.fromkeys(sizes, 0) for _ in range(5))
     counterexamples = {n: [] for n in sizes}
-    for down in _lattice_masks(n_max):
-        n = len(down)
-        lattice = _from_down_masks(names[n], down)
+    for lattice in _walk(n_max):
+        n = lattice.n
         verdict = is_ssp(lattice, "auto")
         is_rc_lattice = verdict.certificate_kind != CERT_NON_RC
         certified = verdict.outcome == CERTIFIED

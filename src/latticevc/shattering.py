@@ -48,11 +48,21 @@ def shatters(lattice, family, y):
 
 
 def shattered_set(lattice, family):
-    """Str(F): all shattered elements.  Always downward-closed."""
+    """Str(F): all shattered elements.  Always downward-closed.
+
+    The meets z ^ y over the members z are elements below y, and distinct
+    elements have distinct down-sets, so y is shattered exactly when the
+    down-sets down[y] & down[z] take |down[y]| distinct values.  Each
+    member's down-set is read once.
+    """
     fam = tuple(family)
     _check_elements(lattice.n, fam, "shattered_set")
-    return frozenset(y for y in range(lattice.n)
-                     if lattice.down[y] & ~_realized(lattice, fam, y) == 0)
+    members = [lattice.down[z] for z in fam]
+    size = len(members)
+    return frozenset(
+        y for y, below in enumerate(lattice.down)
+        if below.bit_count() <= size
+        and len({below & d for d in members}) == below.bit_count())
 
 
 def vc_dim(lattice, family):

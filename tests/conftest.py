@@ -449,11 +449,11 @@ def oracle_lattice_masks(n_max):
     """Down-masks of every lattice on 1..n_max elements, once per class,
     by orderly generation alone.
 
-    The walk that ``search._lattice_masks`` refines: every prefix is keyed
+    The walk that ``search._walk`` refines: every prefix is keyed
     (by ``search._order_key``, looked up on each call) and extended when
     its key is new, and every ideal of the prefix that holds the bottom and
     keeps meets unique is tried as a child, with no filter by twins or by
-    canonical deletion.  ``search._lattice_masks`` must emit the same
+    canonical deletion.  ``search._walk`` must emit lattices of the same
     isomorphism classes.
     """
     if n_max < 1:

@@ -290,11 +290,13 @@ def test_rank_and_label_index_derived_on_first_read(monkeypatch):
             assert not _derived_fields(lat), name
     scanned = []
 
-    def keep(names, down):
-        scanned.append(core._from_down_masks(names, down))
+    assemble = search._assemble
+
+    def keep(*state):
+        scanned.append(assemble(*state))
         return scanned[-1]
 
-    monkeypatch.setattr(search, "_from_down_masks", keep)
+    monkeypatch.setattr(search, "_assemble", keep)
     lv.conjecture_scan(7)
     assert len(scanned) == 1 + 1 + 1 + 2 + 5 + 15 + 53
     assert not any(_derived_fields(lat) for lat in scanned)
@@ -642,8 +644,9 @@ def test_corpus_is_diverse():
 _FIELDS = ("n", "names", "up", "down", "covers", "meet", "bottom", "top",
            "rank", "linext")
 # the attributes compared field by field: ``element`` in place of the meet
-# table, which is no attribute
-_STORED = tuple("element" if f == "meet" else f for f in _FIELDS)
+# table, which is no attribute, and the cover masks
+_STORED = (*("element" if f == "meet" else f for f in _FIELDS),
+           "upper", "lower")
 
 
 def _field(lat, field):

@@ -7,7 +7,7 @@ import pytest
 import latticevc as lv
 from latticevc import cli, search, ssp
 from latticevc.core import _from_down_masks
-from latticevc.errors import TooLarge
+from latticevc.errors import NotMeetSemilattice, TooLarge
 
 from conftest import (
     oracle_lattice_count,
@@ -59,7 +59,7 @@ def test_scan_guard_refuses_before_enumerating(monkeypatch):
         raise AssertionError("enumeration work started")
 
     monkeypatch.setattr(search, "_order_key", fail)
-    monkeypatch.setattr(search, "_from_down_masks", fail)
+    monkeypatch.setattr(search, "_assemble", fail)
     with pytest.raises(TooLarge):
         lv.conjecture_scan(search.MAX_ENUM + 1)
     out = io.StringIO()
@@ -68,15 +68,16 @@ def test_scan_guard_refuses_before_enumerating(monkeypatch):
 
 
 def test_one_construction_per_emitted_lattice(monkeypatch):
-    # duplicates are rejected on the raw down-masks, before construction
+    # duplicates are rejected on the raw down-masks, before assembly, and
+    # enumerate_lattices(n) assembles only its size-n lattices
     calls = []
-    build = search._from_down_masks
+    build = search._assemble
 
-    def counting(names, down):
+    def counting(*state):
         calls.append(1)
-        return build(names, down)
+        return build(*state)
 
-    monkeypatch.setattr(search, "_from_down_masks", counting)
+    monkeypatch.setattr(search, "_assemble", counting)
     for n, expect in KNOWN_COUNTS.items():
         calls.clear()
         assert len(list(lv.enumerate_lattices(n))) == expect
@@ -124,16 +125,57 @@ def _keys_by_size(walk):
     return keys
 
 
+def _walk_masks(n_max):
+    """The raw down-mask lists of the walk's lattices, in walk order."""
+    return [list(lat.down) for lat in search._walk(n_max)]
+
+
 def test_walk_matches_oracle_walk():
     # the twin and canonical-deletion filters drop only children whose
     # class another child reaches: every size up to 9 has the oracle's
     # classes, and up to 7 the oracle's very sequence
-    keys = _keys_by_size(search._lattice_masks(9))
+    keys = _keys_by_size(_walk_masks(9))
     expect = _keys_by_size(oracle_lattice_masks(9))
     assert sorted(keys) == list(range(1, 10))
     for n in range(1, 10):
         assert sorted(keys[n]) == sorted(expect[n]), n
-    assert list(search._lattice_masks(7)) == list(oracle_lattice_masks(7))
+    assert _walk_masks(7) == list(oracle_lattice_masks(7))
+
+
+def test_walk_lattices_equal_mask_constructor():
+    # every lattice is collected before any is compared, so walk state
+    # edited after a yield would show in a lattice already handed out
+    lattices = list(search._walk(9))
+    assert len(lattices) == sum(KNOWN_COUNTS.values()) + 1078 == 1378
+    for lat in lattices:
+        again = _from_down_masks(lat.names, list(lat.down))
+        for field in ("n", "names", "up", "down", "covers", "upper", "lower",
+                      "element", "bottom", "top", "linext", "rank"):
+            assert getattr(lat, field) == getattr(again, field), (lat, field)
+
+
+def test_walk_runs_the_meet_check(monkeypatch):
+    groups = []
+
+    def refuse(names, down, element, group):
+        groups.append(list(group))
+        raise NotMeetSemilattice("refused")
+
+    # the first group is boolean:2's two atoms, the top's lower covers
+    monkeypatch.setattr(search, "_check_meets", refuse)
+    with pytest.raises(NotMeetSemilattice, match="^refused$"):
+        lv.conjecture_scan(4)
+    assert groups == [[1, 2]]
+
+    # the lower covers of an element as the walk adds it, highest first,
+    # are checked too: at n = 5, element 3 above the atoms 1 and 2
+    groups.clear()
+    monkeypatch.setattr(search, "_check_meets",
+                        lambda names, down, element, group:
+                        groups.append(list(group)))
+    assert [r.total_lattices for r in lv.conjecture_scan(5)] == [
+        1, 1, 1, 2, 5]
+    assert [2, 1] in groups
 
 
 # sha256 of the sorted canonical keys of each size n = 1..9 in turn: the
@@ -173,8 +215,8 @@ def test_enumeration_deterministic():
     assert digest.hexdigest() == ENUMERATION_SHA256_N8
 
 
-# sha256 of repr(down) for every down-mask list that _lattice_masks(10)
-# yields, in order (7,372 lattices, OEIS A006966 summed to n = 10): which
+# sha256 of repr(list(lat.down)) for every lattice that _walk(10) yields,
+# in order (7,372 lattices, OEIS A006966 summed to n = 10): which
 # prefixes the walk accepts and rejects, and the labeling of each class
 WALK_SHA256_N10 = (
     "aba2711b2fa5ae05371c0ba9b1d4c5546d06276cd7d1ce14d3f01d897c55c07f")
@@ -183,7 +225,7 @@ WALK_SHA256_N10 = (
 def test_walk_sequence_pinned():
     digest = hashlib.sha256()
     count = 0
-    for down in search._lattice_masks(10):
+    for down in _walk_masks(10):
         digest.update(repr(down).encode())
         count += 1
     assert count == 7372

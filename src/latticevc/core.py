@@ -90,7 +90,8 @@ class Lattice:
 
     Construct through :func:`from_covers` (outside input) or
     :func:`_from_down_masks` (down-sets the package derives itself); the
-    constructor trusts its inputs.  Construction has checked that every
+    enumerator assembles its lattices from the covers its walk keeps
+    (:func:`search._assemble`).  The constructor trusts its inputs.  Construction has checked that every
     pair has a meet (:func:`_check_meets`), so ``element`` holds every
     down[x] & down[y].  The label index behind :meth:`index` is built on
     its first call.

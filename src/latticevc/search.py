@@ -63,18 +63,32 @@ def _order_key(up, down):
 
     Elements are coloured by (down-set size, up-set size), an
     isomorphism-invariant ordered partition.  The key is the
-    lexicographically minimal encoding over all relabelings that fill the
-    positions colour class by colour class, in ascending colour order,
-    found by branch and bound: a branch is cut as soon as its encoding
-    prefix exceeds the best one seen.  x < y implies |down x| < |down y|,
-    so no element placed earlier is above the one being placed: a position
-    holds one bit per earlier position, set iff that element is below it.
+    lexicographically least encoding over all relabelings that fill the
+    positions colour class by colour class, in ascending colour order.
+    x < y implies |down x| < |down y|, so no element placed earlier is
+    above the one being placed: a position holds one bit per earlier
+    position, set iff that element is below it.
+
+    The search goes one position at a time and keeps the tie set: every
+    partial relabeling whose encoding so far is the least one of its
+    length.  Each is extended by every candidate member of the position's
+    colour class, and only the extensions with the least bits are kept.
+    This is exact: any partial relabeling can be completed, so if the
+    least full encoding began with more than the least partial encoding
+    of some length, completing that partial one would give a smaller
+    full encoding.
 
     Twins, elements with the same strict down-set and the same strict
-    up-set, share a colour, and swapping two of them is an automorphism
-    that fixes every other element.  So a node tries one unused member of
-    each twin class, and when every colour class is one twin class, every
-    relabeling has the same encoding, computed once without a search.
+    up-set, share a colour, and swapping two unused ones is an
+    automorphism that fixes every element already chosen, so their
+    extensions have the same completions.  A position therefore tries one
+    unused member of each twin class.
+
+    The cost is the size of the tie set, which can grow to |Aut| up to
+    twin swaps: 5,040 on subspace:2:3 and on boolean:7, whose key takes
+    about a minute and 33 MiB at its peak.  subspace:3:3 does not finish
+    within a minute.  The loop never recurses, so its depth does not
+    depend on the number of elements.
     """
     n = len(up)
     by_color = {}
@@ -84,71 +98,31 @@ def _order_key(up, down):
         dx, ux = down[x], up[x]
         by_color.setdefault((dx.bit_count(), ux.bit_count()), []).append(x)
         twin.append(first.setdefault((dx ^ (1 << x), ux ^ (1 << x)), x))
-    classes = [by_color[c] for c in sorted(by_color)]
 
-    # twins share a colour, so equal counts mean equal partitions; `place`
-    # would make one descent here too, at a higher cost per position
-    if len(first) == len(classes):
-        enc = []
-        chosen = []
-        for cls in classes:
-            for x in cls:
-                bits = 0
-                dx = down[x]
-                for c in chosen:
-                    bits = (bits << 1) | ((dx >> c) & 1)
-                enc.append(bits)
-                chosen.append(x)
-        return (n, tuple(enc))
-
-    slot_class = [cls for cls in classes for _ in cls]
-    chosen = []
     enc = []
-    used = [False] * n
-    best = [None]
-
-    # Invariant: place(pos, equal) runs with enc[0:pos] equal to the best
-    # prefix when `equal`, strictly below it (or best unset) otherwise, so
-    # a leaf reached with equal=False always improves.
-    def place(pos, equal):
-        if pos == n:
-            if not equal:
-                best[0] = tuple(enc)
-            return
-        cands = []
-        tried = set()
-        for x in slot_class[pos]:
-            if used[x] or twin[x] in tried:
-                continue
-            tried.add(twin[x])
-            bits = 0
-            dx = down[x]
-            for c in chosen:
-                bits = (bits << 1) | ((dx >> c) & 1)
-            cands.append((bits, x))
-        cands.sort()
-        for bits, x in cands:
-            if equal:
-                ref = best[0][pos]
-                if bits > ref:
-                    break  # sorted: every later sibling is worse too
-                child_equal = bits == ref
-            else:
-                child_equal = False
-            before = best[0]
-            used[x] = True
-            chosen.append(x)
-            enc.append(bits)
-            place(pos + 1, child_equal)
-            enc.pop()
-            chosen.pop()
-            used[x] = False
-            if best[0] is not before:
-                # the new best came from this subtree and shares our prefix
-                equal = True
-
-    place(0, False)
-    return (n, best[0])
+    ties = [((), 0)]  # (chosen elements, their mask) with encoding enc
+    for color in sorted(by_color):
+        cls = by_color[color]
+        for _ in cls:
+            least = None
+            for chosen, used in ties:
+                tried = set()
+                for x in cls:
+                    if used >> x & 1 or twin[x] in tried:
+                        continue
+                    tried.add(twin[x])
+                    bits = 0
+                    dx = down[x]
+                    for c in chosen:
+                        bits = (bits << 1) | ((dx >> c) & 1)
+                    if least is None or bits < least:
+                        least = bits
+                        kept = []
+                    if bits == least:
+                        kept.append((chosen + (x,), used | 1 << x))
+            enc.append(least)
+            ties = kept
+    return (n, tuple(enc))
 
 
 def canonical_key(lattice):

@@ -250,7 +250,7 @@ def test_isomorphism_invariant_under_relabeling():
         assert relabeled.up != lat.up
         assert search.canonical_key(relabeled) == search.canonical_key(lat)
     # every lattice of up to 7 elements: the (down-set size, up-set size)
-    # colouring leaves many classes unsplit, so the branch and bound decides
+    # colouring leaves many classes unsplit, so the search over ties decides
     for n in range(1, 8):
         for lat in lv.enumerate_lattices(n):
             perm = list(range(lat.n))
@@ -271,7 +271,8 @@ def _relabel_masks(masks, perm):
 def test_order_key_values_match_oracle(monkeypatch):
     # every prefix that the unfiltered oracle walk to 9 elements keys (the
     # walk keys a subset of them), as met and under a seeded relabeling:
-    # twin pruning and the search-free path keep the key values themselves
+    # twin pruning and the level-by-level tie set keep the key values
+    # themselves
     met = []
     key = search._order_key
 
@@ -303,7 +304,7 @@ def test_isomorphism_distinguishes():
 
 def test_canonical_key_on_symmetric_lattice():
     # the two rank layers of 7 elements are colour classes that only the
-    # branch and bound can order
+    # search over tied partial relabelings can order
     lat = lv.subspace_lattice(2, 3)
     key = search.canonical_key(lat)
     assert key[0] == 16
@@ -326,6 +327,19 @@ def test_canonical_key_on_symmetric_lattice():
         assert search.canonical_key(lat) == expect
         if k == 6:
             assert oracle_order_key(lat.up, lat.down) == expect
+
+
+def test_canonical_key_on_large_lattices():
+    # the key's search does not recurse per element: a 1,044-element product
+    # has a colour class per atom pair, and a 2,048-element chain has one
+    # element per colour class
+    a = lv.product(lv.boolean(2), lv.chain(260))
+    b = lv.product(lv.chain(260), lv.boolean(2))
+    assert a.n == 1044 and a.up != b.up
+    assert search.is_isomorphic(a, b) is True
+    chain = lv.chain(2047)
+    key = search.canonical_key(chain)
+    assert key == (2048, tuple((1 << i) - 1 for i in range(2048)))
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,8 @@ from .errors import NoBottom, TooLarge
 from .ssp import CERT_NON_RC, CERTIFIED, INCONCLUSIVE, is_ssp
 
 MAX_ENUM = 10
+# bounds the tie set of _order_key: ties times elements, about 40 MiB
+MAX_TIE_CELLS = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +87,17 @@ def _order_key(up, down):
     unused member of each twin class.
 
     The cost is the size of the tie set, which can grow to |Aut| up to
-    twin swaps: 5,040 on subspace:2:3 and on boolean:7, whose key takes
-    about a minute and 33 MiB at its peak.  subspace:3:3 does not finish
-    within a minute.  The loop never recurses, so its depth does not
-    depend on the number of elements.
+    twin swaps: it peaks at 5,040 on subspace:2:3 (whose 7 atoms tie in
+    every order) and on boolean:7.  On a 2-CPU VM with Python 3.11 the key
+    of boolean:7 takes 59 s with a 33 MiB peak RSS, against 60 s and 17
+    MiB for the recursive branch and bound this loop replaced.  The tie
+    set is held in memory, so a tie set of more than ``MAX_TIE_CELLS``
+    cells (ties times elements) raises ``TooLarge`` as it is built:
+    subspace:3:3 and boolean:8 are refused within 0.2 s and 31 MiB, where
+    the branch and bound did not finish subspace:3:3 within 60 s.  A
+    search that splits colour classes by refinement is the way past this
+    (ROADMAP item 4).  The loop does not recurse, so no element count
+    reaches the recursion limit.
     """
     n = len(up)
     by_color = {}
@@ -120,6 +129,9 @@ def _order_key(up, down):
                         kept = []
                     if bits == least:
                         kept.append((chosen + (x,), used | 1 << x))
+                        if len(kept) * n > MAX_TIE_CELLS:
+                            raise TooLarge("canonical key guard is ties * n"
+                                           f" <= {MAX_TIE_CELLS}")
             enc.append(least)
             ties = kept
     return (n, tuple(enc))
@@ -132,6 +144,18 @@ def canonical_key(lattice):
     only the up- and down-set masks (:func:`_order_key`); the enumerator
     keys its raw down-masks the same way, when their invariants collide,
     and rejects duplicates before building a :class:`Lattice`.
+
+    The key is the least encoding over the relabelings that fill the
+    positions colour class by colour class.  It is found position by
+    position, keeping every partial relabeling tied for the least encoding
+    so far; that is exact because each one can be completed.  One member
+    per twin class is tried, as swapping two unused twins fixes every
+    element already placed.  The time and memory grow with the tie set,
+    up to |Aut| up to twin swaps: about a minute for boolean:7 (5,040
+    ties).  A tie set over ``MAX_TIE_CELLS`` cells (ties times elements)
+    raises ``TooLarge``, as for subspace:3:3 and boolean:8.  Chains and
+    other lattices with small colour classes are keyed at any size up to
+    the 2,048-element cap.
     """
     return _order_key(lattice.up, lattice.down)
 

@@ -342,6 +342,22 @@ def test_canonical_key_on_large_lattices():
     assert key == (2048, tuple((1 << i) - 1 for i in range(2048)))
 
 
+def test_canonical_key_refuses_a_tie_set_over_the_guard(monkeypatch):
+    # subspace:2:3's 7 atoms tie in every order: the tie set peaks at 5,040
+    # partial relabelings of its 16 elements; the guard is lowered so that
+    # the refusal allocates little
+    lat = lv.subspace_lattice(2, 3)
+    monkeypatch.setattr(search, "MAX_TIE_CELLS", 16 * 5040)
+    key = search.canonical_key(lat)
+    monkeypatch.setattr(search, "MAX_TIE_CELLS", 16 * 5040 - 1)
+    with pytest.raises(TooLarge):
+        search.canonical_key(lat)
+    with pytest.raises(TooLarge):
+        search.is_isomorphic(lat, lat)
+    monkeypatch.undo()
+    assert search.canonical_key(lat) == key
+
+
 # ---------------------------------------------------------------------------
 # the scan
 # ---------------------------------------------------------------------------

@@ -88,16 +88,13 @@ def _order_key(up, down):
 
     The cost is the size of the tie set, which can grow to |Aut| up to
     twin swaps: it peaks at 5,040 on subspace:2:3 (whose 7 atoms tie in
-    every order) and on boolean:7.  On a 2-CPU VM with Python 3.11 the key
-    of boolean:7 takes 59 s with a 33 MiB peak RSS, against 60 s and 17
-    MiB for the recursive branch and bound this loop replaced.  The tie
-    set is held in memory, so a tie set of more than ``MAX_TIE_CELLS``
-    cells (ties times elements) raises ``TooLarge`` as it is built:
-    subspace:3:3 and boolean:8 are refused within 0.2 s and 31 MiB, where
-    the branch and bound did not finish subspace:3:3 within 60 s.  A
-    search that splits colour classes by refinement is the way past this
-    (ROADMAP item 4).  The loop does not recurse, so no element count
-    reaches the recursion limit.
+    every order) and on boolean:7, whose key takes 59 s and 33 MiB peak
+    RSS on a 2-CPU VM with Python 3.11 (60 s and 17 MiB by the recursive
+    branch and bound this loop replaced).  The tie set is held in memory,
+    so one of more than ``MAX_TIE_CELLS`` cells (ties times elements)
+    raises ``TooLarge`` as it is built: subspace:3:3, which neither search
+    keys within 60 s, and boolean:8 are refused within 0.2 s.  Splitting
+    colour classes by refinement is the way past this (ROADMAP item 4).
     """
     n = len(up)
     by_color = {}
